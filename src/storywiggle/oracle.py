@@ -40,12 +40,13 @@ class OracleResult:
 
 
 def _step_states(inst: OrderedStorylineInstance, params: NicenessParams,
-                 t: int, cap: int) -> np.ndarray:
+                 t: int, cap: int, state_limit: int) -> np.ndarray:
     """All nice integral level vectors for step t, one row per state.
 
     Columns follow the step ordering bottom to top.  Extra slack can go
     into the bottom shift and the free gaps only; meeting gaps are
-    pinned to their exact spacing.
+    pinned to their exact spacing.  The states are counted before any is
+    built, so a step over `state_limit` fails fast.
     """
     order = inst.ordering_at(t)
     k = len(order)
@@ -67,6 +68,10 @@ def _step_states(inst: OrderedStorylineInstance, params: NicenessParams,
         if (order[i - 1], order[i]) not in meeting_pairs:
             nslots += 1
         slot_of[i] = nslots - 1
+    count = math.comb(extra + nslots, nslots)
+    if count > state_limit:
+        raise OracleLimitError(
+            f"step {t} has {count} states (limit {state_limit})")
     combos = np.fromiter(
         itertools.chain.from_iterable(
             itertools.combinations(range(extra + nslots), nslots)),
@@ -96,11 +101,7 @@ def oracle_optimum(inst: OrderedStorylineInstance, params: NicenessParams,
     orders = [inst.ordering_at(t) for t in range(1, inst.time_steps + 1)]
     states = []
     for t in range(1, inst.time_steps + 1):
-        st = _step_states(inst, params, t, cap)
-        states.append(st)
-        if st.shape[0] > state_limit:
-            raise OracleLimitError(
-                f"step {t} has {st.shape[0]} states (limit {state_limit})")
+        states.append(_step_states(inst, params, t, cap, state_limit))
 
     dp = np.zeros(states[0].shape[0], dtype=np.int64)
     parents: list[np.ndarray] = []

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .instance import (Coordination, InstanceError, LayoutMetrics,
@@ -74,9 +73,14 @@ def _solver_config(config: RunConfig) -> SolverConfig:
 
 
 def _solve_objective(inst: OrderedStorylineInstance, params: NicenessParams,
-                     objective: str, solver_config: SolverConfig,
+                     objective: str, solver_config: SolverConfig, *,
+                     lwh_coord: Coordination | None = None,
                      ) -> tuple[SolveStatus, Coordination | None, float | None, dict]:
-    """Coordination and reporting extras for one objective."""
+    """Coordination and reporting extras for one objective.
+
+    `wc` is warm-started from an optimal `lwh` layout: `lwh_coord` when
+    the caller already has one, otherwise it is solved here.
+    """
     extras: dict = {}
     if objective == "wigglefree":
         r = max_wiggle_free_set(inst, params, solver_config)
@@ -104,10 +108,13 @@ def _solve_objective(inst: OrderedStorylineInstance, params: NicenessParams,
     elif objective == "wc":
         model, index = build_wc_program(inst, params)
         warm = [assignment_from_coordination(model, index, warm_stack)]
-        lwh_model, lwh_index = build_lwh_program(inst, params)
-        lwh_result = solve_model(lwh_model, solver_config)
-        if lwh_result.status is SolveStatus.OPTIMAL:
-            lwh_coord = extract_coordination(lwh_index, lwh_result.assignment)
+        if lwh_coord is None:
+            lwh_model, lwh_index = build_lwh_program(inst, params)
+            lwh_result = solve_model(lwh_model, solver_config)
+            if lwh_result.status is SolveStatus.OPTIMAL:
+                lwh_coord = extract_coordination(lwh_index,
+                                                 lwh_result.assignment)
+        if lwh_coord is not None:
             warm.append(assignment_from_coordination(model, index, lwh_coord))
         result = solve_model(model, solver_config, warm=tuple(warm))
     else:
@@ -187,7 +194,10 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                               message=f"solver stopped: {status.value}")
 
     r_min = config.r_min if config.r_min is not None else params.delta / 2.0
-    plan = route_all_gaps(inst, coord, r_min=r_min, config=solver_config)
+    try:
+        plan = route_all_gaps(inst, coord, r_min=r_min, config=solver_config)
+    except ModelError as e:
+        return PipelineResult(EXIT_INPUT, message=str(e))
     layout = compute_metrics(inst, coord)
     metrics = {**layout.as_report(),
                "objective": objective_value,
@@ -233,18 +243,19 @@ def compare_objectives(inst: OrderedStorylineInstance, params: NicenessParams,
     optimizing column shows 1.0 unless two layouts tie).
     """
     solver_config = solver_config or SolverConfig()
+    solved = {"lwh": _solve_objective(inst, params, "lwh", solver_config)}
+    lwh_status, lwh_coord = solved["lwh"][:2]
+    solved["wc"] = _solve_objective(
+        inst, params, "wc", solver_config,
+        lwh_coord=lwh_coord if lwh_status is SolveStatus.OPTIMAL else None)
+    solved["qwh"] = _solve_objective(inst, params, "qwh", solver_config)
     layouts: dict[str, LayoutMetrics] = {}
     statuses: dict[str, str] = {}
-    objectives = ("wc", "lwh", "qwh")
-    with ThreadPoolExecutor(max_workers=len(objectives)) as pool:
-        futures = {objective: pool.submit(_solve_objective, inst, params,
-                                          objective, solver_config)
-                   for objective in objectives}
-        for objective in objectives:
-            status, coord, _, _ = futures[objective].result()
-            statuses[objective] = status.value
-            if coord is not None:
-                layouts[objective] = compute_metrics(inst, coord)
+    for objective in ("wc", "lwh", "qwh"):
+        status, coord, _, _ = solved[objective]
+        statuses[objective] = status.value
+        if coord is not None:
+            layouts[objective] = compute_metrics(inst, coord)
     layouts["base"] = compute_metrics(
         inst, centered_stack_coordination(inst, params))
     statuses["base"] = "stacked"
@@ -296,7 +307,10 @@ def _run_compare(config: RunConfig) -> PipelineResult:
         params = _override_params(params, config)
     except (OSError, InstanceError, ValueError) as e:
         return PipelineResult(EXIT_INPUT, message=str(e))
-    table = compare_objectives(inst, params, _solver_config(config))
+    try:
+        table = compare_objectives(inst, params, _solver_config(config))
+    except ModelError as e:
+        return PipelineResult(EXIT_INPUT, message=str(e))
     _write_json(config.metrics_path, table)
     return PipelineResult(EXIT_OK, metrics=table,
                           message=format_compare_table(table))

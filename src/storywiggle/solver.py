@@ -117,8 +117,13 @@ def _solve_external(model: OptimizationModel, config: SolverConfig) -> SolveResu
         with open(lp_path, "w", encoding="utf-8") as fh:
             fh.write(write_lp(model))
         timeout = config.time_limit * 10 if config.time_limit else None
-        proc = subprocess.run(command + [lp_path, sol_path],
-                              capture_output=True, text=True, timeout=timeout)
+        try:
+            proc = subprocess.run(command + [lp_path, sol_path],
+                                  capture_output=True, text=True,
+                                  timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return SolveResult(SolveStatus.TIME_LIMIT, None, None, None, None,
+                               None, None)
         if proc.returncode != 0:
             raise ModelError(
                 f"external solver failed ({proc.returncode}): {proc.stderr.strip()}")

@@ -1,12 +1,17 @@
 """Dynamic-programming oracle against plain enumeration."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_optimum
+import storywiggle
 from storywiggle.generate import generate_instance
 from storywiggle.instance import (NicenessParams, compute_metrics, is_nice,
                                   parse_instance)
@@ -76,6 +81,27 @@ class TestHandValues:
         inst, params = parse_instance(CROSSING)
         with pytest.raises(OracleLimitError, match="states"):
             oracle_optimum(inst, params, "wc", state_limit=1)
+
+    def test_state_limit_is_checked_before_enumerating(self):
+        # one step of this instance has about 5e19 states; building them
+        # before the check would run out of time or memory
+        code = "\n".join([
+            "import resource",
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))",
+            "from storywiggle.generate import generate_instance",
+            "from storywiggle.oracle import OracleLimitError, oracle_optimum",
+            "inst, params = generate_instance(25, 30, seed=7, meeting_prob=0.5)",
+            "try:",
+            "    oracle_optimum(inst, params, 'lwh')",
+            "except OracleLimitError as e:",
+            "    print(e)",
+        ])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(storywiggle.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "states (limit" in proc.stdout
 
     def test_empty_instance(self):
         inst, params = parse_instance(json.dumps({

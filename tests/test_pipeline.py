@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,6 +20,13 @@ from storywiggle.solver import SolveResult, SolveStatus
 INSTANCES = Path(__file__).parent.parent / "instances"
 CROSSING = str(INSTANCES / "crossing_pair.json")
 DEMO = str(INSTANCES / "demo.json")
+
+DEMO_TABLE = """\
+layout               wiggleCount      linearWiggleHeight   quadraticWiggleHeight             totalHeight
+wc                 5.000 (1.00x)          19.000 (1.36x)          75.000 (2.76x)           5.000 (1.67x)
+lwh                8.000 (1.60x)          14.000 (1.00x)          28.000 (1.03x)           3.000 (1.00x)
+qwh                9.000 (1.80x)          14.333 (1.02x)          27.167 (1.00x)           3.000 (1.00x)
+base              10.000 (2.00x)          15.000 (1.07x)          27.500 (1.01x)           3.000 (1.00x)"""
 
 METRIC_KEYS = {"wiggleCount", "linearWiggleHeight", "quadraticWiggleHeight",
                "totalHeight", "objective", "solverStatus", "solveSeconds"}
@@ -125,6 +133,10 @@ class TestInputErrors:
         r = run(tmp_path, CROSSING, delta=-1.0)
         assert r.exit_code == EXIT_INPUT
 
+    def test_compare_rejects_fractional_spacing(self, tmp_path):
+        r = run(tmp_path, CROSSING, compare=True, delta=0.5)
+        assert r.exit_code == EXIT_INPUT and "integral" in r.message
+
     def test_svg_clashes_with_compare(self, tmp_path):
         r = run(tmp_path, CROSSING, compare=True,
                 svg_path=str(tmp_path / "x.svg"))
@@ -165,6 +177,24 @@ class TestSolverOutcomes:
         assert r.metrics["wiggleCount"] >= 1
         assert r.metrics["bestBound"] is None and r.metrics["gap"] is None
         assert svg_path.exists()
+
+
+    def test_external_timeout_exits_four(self, tmp_path):
+        # the external command gets ten times the limit, then is killed
+        backend = f"external:{sys.executable} -c 'import time; time.sleep(30)'"
+        r = run(tmp_path, CROSSING, objective="lwh", backend=backend,
+                time_limit=0.05)
+        assert r.exit_code == EXIT_TIME
+        assert r.metrics["solverStatus"] == "time_limit"
+
+    def test_routing_failure_exits_two(self, tmp_path):
+        # wc-unrestricted needs no solver, so the first model this backend
+        # sees is a routing LP, which it declares infeasible
+        write = "open(sys.argv[2], 'w').write('status infeasible')"
+        backend = f"external:{sys.executable} -c \"import sys; {write}\""
+        r = run(tmp_path, CROSSING, objective="wc-unrestricted",
+                backend=backend)
+        assert r.exit_code == EXIT_INPUT and "routing" in r.message
 
 
 class TestOracleGate:
@@ -215,6 +245,18 @@ class TestCompare:
         assert len(lines) == 5
         assert lines[1].startswith("wc") and lines[4].startswith("base")
         assert r.message == format_compare_table(r.metrics)
+
+    def test_demo_table_is_frozen(self, tmp_path):
+        assert run(tmp_path, DEMO, compare=True).message == DEMO_TABLE
+
+    def test_lwh_is_solved_once(self, tmp_path, monkeypatch):
+        # the wc warm start reuses the lwh column's layout
+        builds = []
+        build = pipeline_mod.build_lwh_program
+        monkeypatch.setattr(pipeline_mod, "build_lwh_program",
+                            lambda *args: builds.append(args) or build(*args))
+        assert run(tmp_path, DEMO, compare=True).exit_code == EXIT_OK
+        assert len(builds) == 1
 
 
 class TestCli:

@@ -1,17 +1,34 @@
-"""Bounded-variable two-phase simplex against brute-force vertex search."""
+"""Bounded-variable two-phase simplex against brute-force vertex search.
+
+Every case is solved on both pivot paths (dense, and the sparse one that
+large tableaux take), which must agree exactly.
+"""
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lp_vertex_optimum
+from storywiggle import simplex
+from storywiggle.generate import generate_instance
 from storywiggle.programs import (EQ, GE, LE, LinearConstraint, ModelError,
                                   OptimizationModel, Variable,
+                                  build_lwh_program, build_wc_program,
                                   model_violations, objective_value)
-from storywiggle.simplex import solve_lp
+
+
+def solve_lp(model):
+    """Status, x, duals, objective and pivot count, equal on both paths."""
+    with mock.patch.object(simplex, "_SPARSE_MIN_CELLS", math.inf):
+        dense = simplex.solve_lp(model)
+    with mock.patch.object(simplex, "_SPARSE_MIN_CELLS", 0):
+        sparse = simplex.solve_lp(model)
+    assert sparse == dense
+    return dense
 
 
 def lp(variables, constraints, objective):
@@ -173,3 +190,12 @@ def test_matches_vertex_enumeration_on_boxed_models(seed):
     assert r.objective == pytest.approx(expected, abs=1e-7)
     assert model_violations(model, r.x, tol=1e-6) == []
     assert objective_value(model, r.x) == pytest.approx(r.objective, abs=1e-7)
+
+
+@pytest.mark.parametrize("shape", [(10, 10), (15, 15)], ids=str)
+@pytest.mark.parametrize("build", [build_lwh_program, build_wc_program],
+                         ids=["lwh", "wc"])
+def test_ladder_relaxations_agree_on_both_paths(shape, build):
+    inst, params = generate_instance(*shape, seed=7, meeting_prob=0.5)
+    model, _ = build(inst, params)
+    assert solve_lp(model).status == "optimal"
