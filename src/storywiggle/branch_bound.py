@@ -5,15 +5,18 @@ ties), floor child explored first.  The open-node stack is re-sorted to
 best-bound order every few thousand nodes so long runs do not starve on
 one subtree.  Warm assignments are validated and used as incumbents, and
 a node is pruned as soon as its relaxation cannot beat the incumbent.
+
+The model is compiled once; a node is a pair of bound vectors swapped
+into it, and a child with an empty interval is pruned unsolved.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .programs import (ModelError, OptimizationModel, Variable,
+from .programs import (ModelError, OptimizationModel, compile_model,
                        model_violations, objective_value)
 from .simplex import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED, solve_lp
 
@@ -38,14 +41,6 @@ class BnbResult:
         return (self.objective - self.best_bound) / max(1.0, abs(self.objective))
 
 
-def _with_bounds(model: OptimizationModel, bounds: dict[str, tuple[float, float]]):
-    variables = [Variable(v.name, *bounds[v.name], v.integral) if v.name in bounds
-                 else v for v in model.variables]
-    clone = OptimizationModel(model.name, variables, model.constraints,
-                              model.objective, model.quadratic)
-    return clone
-
-
 def _rounded(x: dict[str, float], int_names: list[str]) -> dict[str, float]:
     out = dict(x)
     for name in int_names:
@@ -56,26 +51,23 @@ def _rounded(x: dict[str, float], int_names: list[str]) -> dict[str, float]:
 def solve_ilp(model: OptimizationModel, *,
               warm: tuple[dict[str, float], ...] = (),
               node_limit: int = 200000,
-              time_limit: float | None = None,
-              priority: dict[str, int] | None = None) -> BnbResult:
+              time_limit: float | None = None) -> BnbResult:
     """Minimize `model` with its integrality constraints enforced.
 
     `warm` holds candidate assignments; feasible integral ones seed the
-    incumbent.  `priority` maps variable names to branching classes, a
-    lower class branching earlier (default: one class).
+    incumbent.
     """
-    model.validate()
-    if model.quadratic:
+    cm = compile_model(model)
+    if any(cm.quad):
         raise ModelError("quadratic objective passed to the integer solver")
-    int_names = [v.name for v in model.variables if v.integral]
-    if not int_names:
-        lp = solve_lp(model)
+    ints = [(j, v.name) for j, v in enumerate(cm.variables) if v.integral]
+    int_names = [name for _, name in ints]
+    if not ints:
+        lp = solve_lp(cm)
         status = {OPTIMAL: OPTIMAL, INFEASIBLE: INFEASIBLE,
                   UNBOUNDED: UNBOUNDED}.get(lp.status, ITERATION_LIMIT)
         bound = lp.objective if lp.objective is not None else -math.inf
         return BnbResult(status, lp.x, lp.objective, bound, 1)
-    order = {name: i for i, name in enumerate(int_names)}
-    prio = priority or {}
 
     inc_x: dict[str, float] | None = None
     inc_obj = math.inf
@@ -92,23 +84,23 @@ def solve_ilp(model: OptimizationModel, *,
             inc_obj, inc_x = val, full
 
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    stack: list[tuple[dict[str, tuple[float, float]], float]] = [({}, -math.inf)]
+    stack = [(cm.lower, cm.upper, -math.inf)]     # bounds, parent's bound
     nodes = 0
     status = OPTIMAL
     while stack:
         if nodes and nodes % _RESORT_EVERY == 0:
-            stack.sort(key=lambda nd: -nd[1])
+            stack.sort(key=lambda nd: -nd[2])
         if nodes >= node_limit:
             status = NODE_LIMIT
             break
         if deadline is not None and time.monotonic() > deadline:
             status = TIME_LIMIT
             break
-        bounds, parent_bound = stack.pop()
+        lower, upper, parent_bound = stack.pop()
         if parent_bound >= inc_obj - 1e-9:
             continue
         nodes += 1
-        lp = solve_lp(_with_bounds(model, bounds))
+        lp = solve_lp(replace(cm, lower=lower, upper=upper))
         if lp.status == INFEASIBLE:
             continue
         if lp.status == UNBOUNDED:
@@ -116,13 +108,12 @@ def solve_ilp(model: OptimizationModel, *,
                              -math.inf, nodes)
         if lp.status == ITERATION_LIMIT:
             status = ITERATION_LIMIT
-            stack.append((bounds, parent_bound))
+            stack.append((lower, upper, parent_bound))
             break
         assert lp.x is not None and lp.objective is not None
         if lp.objective >= inc_obj - 1e-9:
             continue
-        fractional = [(prio.get(n, 0), -abs(lp.x[n] - round(lp.x[n])), order[n], n)
-                      for n in int_names
+        fractional = [(-abs(lp.x[n] - round(lp.x[n])), j) for j, n in ints
                       if abs(lp.x[n] - round(lp.x[n])) > 1e-6]
         if not fractional:
             full = _rounded(lp.x, int_names)
@@ -131,18 +122,15 @@ def solve_ilp(model: OptimizationModel, *,
                 if val < inc_obj:
                     inc_obj, inc_x = val, full
             continue
-        _, _, _, name = min(fractional)
-        val = lp.x[name]
-        var = next(v for v in model.variables if v.name == name)
-        lo, hi = bounds.get(name, (var.lower, var.upper))
-        up = dict(bounds)
-        up[name] = (float(math.ceil(val)), hi)
-        down = dict(bounds)
-        down[name] = (lo, float(math.floor(val)))
-        stack.append((up, lp.objective))
-        stack.append((down, lp.objective))
+        _, j = min(fractional)
+        val = lp.x[cm.variables[j].name]
+        ceil, floor = float(math.ceil(val)), float(math.floor(val))
+        if ceil <= upper[j]:
+            stack.append((lower[:j] + (ceil,) + lower[j + 1:], upper, lp.objective))
+        if lower[j] <= floor:
+            stack.append((lower, upper[:j] + (floor,) + upper[j + 1:], lp.objective))
 
-    open_bounds = [pb for _, pb in stack]
+    open_bounds = [pb for _, _, pb in stack]
     if status == OPTIMAL:
         if inc_x is None:
             return BnbResult(INFEASIBLE, None, None, math.inf, nodes)

@@ -13,6 +13,7 @@ the niceness test for layouts, and the wiggle metrics.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -100,9 +101,9 @@ class NicenessParams:
     delta_bar: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.delta > 0 and self.delta_bar > 0):
+        if not (0 < self.delta < math.inf and 0 < self.delta_bar < math.inf):
             raise InstanceError(
-                f"spacing parameters must be strictly positive, "
+                f"spacing parameters must be finite and strictly positive, "
                 f"got delta={self.delta}, deltaBar={self.delta_bar}")
 
     @property

@@ -229,6 +229,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
 
 def _override_params(params: NicenessParams, config: RunConfig) -> NicenessParams:
+    if config.r_min is not None and not 0 < config.r_min < math.inf:
+        raise ValueError(f"rmin must be finite and positive, got {config.r_min}")
     delta = config.delta if config.delta is not None else params.delta
     delta_bar = config.delta_bar if config.delta_bar is not None else params.delta_bar
     return NicenessParams(delta, delta_bar)

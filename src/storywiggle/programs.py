@@ -12,6 +12,10 @@ shared polytope of nice coordinations:
 
 All three bound y-variables by the safe box derived from the spacing
 parameters, so every model is bounded.
+
+`compile_model` validates a model and resolves its names, once; the
+simplex, QP and branch-and-bound solvers read the `CompiledModel`: row
+terms by column index, and per-column bounds, costs and quad weights.
 """
 
 from __future__ import annotations
@@ -70,32 +74,75 @@ class OptimizationModel:
         return [v.name for v in self.variables]
 
     def validate(self) -> None:
-        names = set()
-        for v in self.variables:
-            if v.name in names:
-                raise ModelError(f"duplicate variable {v.name!r}")
-            names.add(v.name)
-            if v.lower > v.upper:
-                raise ModelError(f"empty bound interval for {v.name!r}")
-        rownames = set()
-        for row in self.constraints:
-            if row.sense not in (LE, GE, EQ):
-                raise ModelError(f"bad sense {row.sense!r} in {row.name!r}")
-            if row.name in rownames:
-                raise ModelError(f"duplicate constraint {row.name!r}")
-            rownames.add(row.name)
-            for var, _ in row.coeffs:
-                if var not in names:
-                    raise ModelError(f"{row.name!r} references unknown {var!r}")
-        for var, coef in list(self.objective.items()) + list(self.quadratic.items()):
-            if var not in names:
-                raise ModelError(f"objective references unknown {var!r}")
-        for var, coef in self.quadratic.items():
-            if coef < 0:
-                raise ModelError(f"negative quadratic coefficient on {var!r}")
+        compile_model(self)
 
     def is_integer_program(self) -> bool:
         return any(v.integral for v in self.variables)
+
+
+@dataclass(frozen=True)
+class CompiledModel:
+    """A validated model; column j is `variables[j]`, row i `constraints[i]`.
+
+    `terms(i)` yields row i's `(column, coefficient)` pairs in model order
+    from flat tuples; a tuple per term would make thousands of GC-tracked
+    objects per compile.  Solvers read bounds from `lower` and `upper`
+    only; `variables` and `constraints` stay for names.
+    """
+
+    name: str
+    variables: tuple[Variable, ...]
+    constraints: tuple[LinearConstraint, ...]
+    starts: tuple[int, ...]
+    cols: tuple[int, ...]
+    coefs: tuple[float, ...]
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+    cost: tuple[float, ...]
+    quad: tuple[float, ...]
+
+    def terms(self, i: int):
+        s, e = self.starts[i], self.starts[i + 1]
+        return zip(self.cols[s:e], self.coefs[s:e])
+
+
+def compile_model(model: OptimizationModel | CompiledModel) -> CompiledModel:
+    """Validate `model` and resolve its names; compiled models pass through."""
+    if isinstance(model, CompiledModel):
+        return model
+    col: dict[str, int] = {}
+    for v in model.variables:
+        if v.name in col:
+            raise ModelError(f"duplicate variable {v.name!r}")
+        col[v.name] = len(col)
+        if v.lower > v.upper:
+            raise ModelError(f"empty bound interval for {v.name!r}")
+    rownames = set()
+    starts, cols, coefs = [0], [], []
+    for row in model.constraints:
+        if row.sense not in (LE, GE, EQ):
+            raise ModelError(f"bad sense {row.sense!r} in {row.name!r}")
+        if row.name in rownames:
+            raise ModelError(f"duplicate constraint {row.name!r}")
+        rownames.add(row.name)
+        for var, coef in row.coeffs:
+            if var not in col:
+                raise ModelError(f"{row.name!r} references unknown {var!r}")
+            cols.append(col[var])
+            coefs.append(coef)
+        starts.append(len(cols))
+    for var in (*model.objective, *model.quadratic):
+        if var not in col:
+            raise ModelError(f"objective references unknown {var!r}")
+    for var, coef in model.quadratic.items():
+        if coef < 0:
+            raise ModelError(f"negative quadratic coefficient on {var!r}")
+    vs = model.variables
+    return CompiledModel(
+        model.name, tuple(vs), tuple(model.constraints), tuple(starts), tuple(cols),
+        tuple(coefs), tuple(v.lower for v in vs), tuple(v.upper for v in vs),
+        tuple(model.objective.get(v.name, 0.0) for v in vs),
+        tuple(model.quadratic.get(v.name, 0.0) for v in vs))
 
 
 def evaluate_row(row: LinearConstraint, assignment: Mapping[str, float]) -> float:
@@ -131,7 +178,7 @@ def objective_value(model: OptimizationModel, assignment: Mapping[str, float]) -
 
 @dataclass
 class VariableIndex:
-    """Bidirectional mapping between variable names and semantic roles."""
+    """Variable names of a built program, keyed by what they stand for."""
 
     inst: OrderedStorylineInstance
     params: NicenessParams
@@ -139,28 +186,14 @@ class VariableIndex:
     y: dict[tuple[int, str], str] = field(default_factory=dict)
     gapvar: dict[tuple[int, str], str] = field(default_factory=dict)  # w, d, or z
     h: str | None = None
-    roles: dict[str, tuple] = field(default_factory=dict)
-
-    def _register(self, name: str, role: tuple) -> str:
-        self.roles[name] = role
-        return name
 
     def add_y(self, t: int, c: str, k: int) -> str:
-        name = self._register(f"y_t{t}_c{k}", ("y", t, c))
-        self.y[(t, c)] = name
-        return name
+        self.y[(t, c)] = f"y_t{t}_c{k}"
+        return self.y[(t, c)]
 
     def add_gapvar(self, prefix: str, t: int, c: str, k: int) -> str:
-        name = self._register(f"{prefix}_t{t}_c{k}", (prefix, t, c))
-        self.gapvar[(t, c)] = name
-        return name
-
-    def add_h(self) -> str:
-        self.h = self._register("h", ("h",))
-        return self.h
-
-    def role_of(self, name: str) -> tuple:
-        return self.roles[name]
+        self.gapvar[(t, c)] = f"{prefix}_t{t}_c{k}"
+        return self.gapvar[(t, c)]
 
     def coordination_from(self, assignment: Mapping[str, float]) -> Coordination:
         return Coordination({key: assignment[name] for key, name in self.y.items()})
@@ -223,16 +256,12 @@ def build_lwh_program(inst: OrderedStorylineInstance,
     return model, index
 
 
-def build_qwh_program(inst: OrderedStorylineInstance, params: NicenessParams,
-                      w_form: bool = False) -> tuple[OptimizationModel, VariableIndex]:
+def build_qwh_program(inst: OrderedStorylineInstance,
+                      params: NicenessParams) -> tuple[OptimizationModel, VariableIndex]:
     """QP minimizing total squared vertical movement.
 
-    By default each gap difference gets a free variable pinned by an
-    equality row, and the squared objective sits on those variables.
-    ``w_form=True`` keeps the nonnegative magnitude variables with the
-    two-sided linearization rows instead; both forms share the optimum
-    because the objective pushes each magnitude variable down onto the
-    actual absolute difference.
+    Each gap difference gets a free variable pinned by an equality row,
+    and the squared objective sits on those variables.
     """
     Y = big_y(inst, params)
     model, index = _new_model_with_y(inst, params, "qwh", Y)
@@ -241,23 +270,12 @@ def build_qwh_program(inst: OrderedStorylineInstance, params: NicenessParams,
     for t in inst.gaps():
         for c in inst.shared_at_gap(t):
             ya, yb = index.y[(t, c)], index.y[(t + 1, c)]
-            if w_form:
-                w = index.add_gapvar("w", t, c, char_idx[c])
-                model.variables.append(Variable(w, 0.0, math.inf))
-                model.constraints.append(LinearConstraint(
-                    f"wpos_t{t}_c{char_idx[c]}",
-                    ((ya, 1.0), (yb, -1.0), (w, -1.0)), LE, 0.0))
-                model.constraints.append(LinearConstraint(
-                    f"wneg_t{t}_c{char_idx[c]}",
-                    ((yb, 1.0), (ya, -1.0), (w, -1.0)), LE, 0.0))
-                model.quadratic[w] = 1.0
-            else:
-                d = index.add_gapvar("d", t, c, char_idx[c])
-                model.variables.append(Variable(d, -math.inf, math.inf))
-                model.constraints.append(LinearConstraint(
-                    f"dlink_t{t}_c{char_idx[c]}",
-                    ((ya, 1.0), (yb, -1.0), (d, -1.0)), EQ, 0.0))
-                model.quadratic[d] = 1.0
+            d = index.add_gapvar("d", t, c, char_idx[c])
+            model.variables.append(Variable(d, -math.inf, math.inf))
+            model.constraints.append(LinearConstraint(
+                f"dlink_t{t}_c{char_idx[c]}",
+                ((ya, 1.0), (yb, -1.0), (d, -1.0)), EQ, 0.0))
+            model.quadratic[d] = 1.0
     model.validate()
     return model, index
 
@@ -283,7 +301,7 @@ def build_wc_program(inst: OrderedStorylineInstance,
     if not index.y:
         model.validate()
         return model, index
-    h = index.add_h()
+    h = index.h = "h"
     model.variables.append(Variable(h, 0.0, max(Y - 1.0, 0.0)))
     model.objective[h] = 1.0 / Y
     for (t, c), yname in index.y.items():
@@ -324,17 +342,15 @@ def assignment_from_coordination(model: OptimizationModel, index: VariableIndex,
     assignment: dict[str, float] = {}
     for (t, c), name in index.y.items():
         assignment[name] = coord.y(t, c)
-    hval = 0.0
     for (t, c), name in index.gapvar.items():
         d = coord.y(t, c) - coord.y(t + 1, c)
-        role = index.role_of(name)[0]
-        if role == "w":
+        if index.kind == "lwh":
             assignment[name] = abs(d)
-        elif role == "d":
+        elif index.kind == "qwh":
             assignment[name] = d
-        elif role == "z":
+        else:
             assignment[name] = 1.0 if abs(d) > zero_tol else 0.0
     if index.h is not None:
-        hval = max((assignment[name] for name in index.y.values()), default=0.0)
-        assignment[index.h] = hval
+        assignment[index.h] = max(
+            (assignment[name] for name in index.y.values()), default=0.0)
     return assignment

@@ -1,24 +1,25 @@
 """Primal active-set method for convex quadratic programs.
 
 Handles `min c'x + sum_i q_i x_i^2` with q >= 0 over linear rows and
-variable bounds.  Inequalities (rows and bounds alike) are normalized to
-`a'x >= b`; the working set holds the equality rows plus whichever
-inequalities are currently pinned.  Each step solves the equality
-constrained subproblem through its KKT system; when that system is
-inconsistent the objective is flat along some feasible ray, so the step
-walks the ray to the first blocking constraint instead.  Multipliers
-decide which pinned row to release, with a lowest-index rule after a
-stretch of degenerate steps.
+variable bounds of a compiled model.  Inequalities (rows and bounds
+alike) are normalized to `a'x >= b`; the working set holds the equality
+rows plus whichever inequalities are currently pinned.  Each step solves
+the equality constrained subproblem through its KKT system; when that
+system is inconsistent the objective is flat along some feasible ray, so
+the step walks the ray to the first blocking constraint instead.
+Multipliers decide which pinned row to release, with a lowest-index rule
+after a stretch of degenerate steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .programs import EQ, GE, LE, ModelError, OptimizationModel, model_violations
+from .programs import (EQ, GE, CompiledModel, ModelError, OptimizationModel,
+                       compile_model, model_violations)
 from .simplex import INFEASIBLE as LP_INFEASIBLE
 from .simplex import OPTIMAL as LP_OPTIMAL
 from .simplex import solve_lp
@@ -43,37 +44,32 @@ class QpResult:
     iterations: int
 
 
-def _build(model: OptimizationModel):
-    names = [v.name for v in model.variables]
-    pos = {name: i for i, name in enumerate(names)}
+def _build(cm: CompiledModel):
+    names = [v.name for v in cm.variables]
     n = len(names)
-    Q = np.zeros((n, n))
-    for name, coef in model.quadratic.items():
-        Q[pos[name], pos[name]] = 2.0 * coef
-    c = np.zeros(n)
-    for name, coef in model.objective.items():
-        c[pos[name]] = coef
+    Q = np.diag(2.0 * np.array(cm.quad, dtype=float))
+    c = np.array(cm.cost, dtype=float)
     eq_rows: list[tuple[np.ndarray, float, str]] = []
     ge_rows: list[tuple[np.ndarray, float, str]] = []
-    for row in model.constraints:
+    for i, row in enumerate(cm.constraints):
         a = np.zeros(n)
-        for name, coef in row.coeffs:
-            a[pos[name]] += coef
+        for j, coef in cm.terms(i):
+            a[j] += coef
         if row.sense == EQ:
             eq_rows.append((a, row.rhs, row.name))
         elif row.sense == GE:
             ge_rows.append((a, row.rhs, row.name))
         else:
             ge_rows.append((-a, -row.rhs, row.name))
-    for i, v in enumerate(model.variables):
-        if v.lower > -math.inf:
+    for i, (name, lo, hi) in enumerate(zip(names, cm.lower, cm.upper)):
+        if lo > -math.inf:
             a = np.zeros(n)
             a[i] = 1.0
-            ge_rows.append((a, v.lower, f"_lb_{v.name}"))
-        if v.upper < math.inf:
+            ge_rows.append((a, lo, f"_lb_{name}"))
+        if hi < math.inf:
             a = np.zeros(n)
             a[i] = -1.0
-            ge_rows.append((a, -v.upper, f"_ub_{v.name}"))
+            ge_rows.append((a, -hi, f"_ub_{name}"))
     E = np.array([a for a, _, _ in eq_rows]).reshape(len(eq_rows), n)
     eb = np.array([b for _, b, _ in eq_rows])
     G = np.array([a for a, _, _ in ge_rows]).reshape(len(ge_rows), n)
@@ -83,13 +79,12 @@ def _build(model: OptimizationModel):
     return names, Q, c, E, eb, enames, G, gb, gnames
 
 
-def _feasible_start(model: OptimizationModel,
+def _feasible_start(cm: CompiledModel,
                     warm: dict[str, float] | None) -> dict[str, float] | None:
-    if warm is not None and not model_violations(model, warm, tol=1e-9):
+    if warm is not None and not model_violations(cm, warm, tol=1e-9):
         return dict(warm)
-    probe = OptimizationModel(model.name + "_feas", list(model.variables),
-                              list(model.constraints), {}, {})
-    res = solve_lp(probe)
+    zero = (0.0,) * len(cm.variables)
+    res = solve_lp(replace(cm, cost=zero, quad=zero))
     if res.status == LP_INFEASIBLE:
         return None
     if res.status != LP_OPTIMAL:
@@ -114,13 +109,13 @@ def solve_qp(model: OptimizationModel, *,
     names, inequalities in their `>=` normalization) and the four KKT
     residual maxima under keys stationarity/primal/dual/complementarity.
     """
-    model.validate()
-    names, Q, c, E, eb, enames, G, gb, gnames = _build(model)
+    cm = compile_model(model)
+    names, Q, c, E, eb, enames, G, gb, gnames = _build(cm)
     n = len(names)
     if n == 0:
         return QpResult(OPTIMAL, {}, 0.0, {}, {"stationarity": 0.0, "primal": 0.0,
                                                "dual": 0.0, "complementarity": 0.0}, 0)
-    start = _feasible_start(model, warm)
+    start = _feasible_start(cm, warm)
     if start is None:
         return QpResult(INFEASIBLE, None, None, None, None, 0)
     x = np.array([start[name] for name in names])

@@ -1,13 +1,13 @@
 """Two-phase primal simplex with variable bounds, on a dense tableau.
 
-The solver normalizes every model to `min c'x, Ax = b, 0 <= x <= u`:
-finite lower bounds are shifted out, upper-bounded-only variables are
-negated, free variables are split, and slack columns turn inequalities
-into equalities.  Phase 1 starts from an all-artificial basis; the
-artificial block doubles as an explicit basis inverse, which is what the
-dual values are read from.  Pricing is steepest-edge-flavored with a
-Bland fallback after a run of degenerate steps, and nonbasic variables
-may sit at either bound (bound flips do not pivot).
+The solver normalizes a compiled model to `min c'x, Ax = b, 0 <= x <= u`
+from its bound vectors: finite lower bounds are shifted out, upper-only
+variables are negated, free variables are split, and slack columns turn
+inequalities into equalities.  Phase 1 starts from an all-artificial
+basis; the artificial block doubles as an explicit basis inverse, which
+is what the dual values are read from.  Pricing is steepest-edge-flavored
+with a Bland fallback after a run of degenerate steps, and nonbasic
+variables may sit at either bound (bound flips do not pivot).
 
 Tableaux of at least `_SPARSE_MIN_CELLS` cells pivot sparsely.  The
 storyline models are difference constraints, so pivot columns and rows
@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .programs import EQ, GE, LE, ModelError, OptimizationModel
+from .programs import (EQ, GE, LE, CompiledModel, ModelError, OptimizationModel,
+                       compile_model)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -55,41 +56,40 @@ class SimplexResult:
     iterations: int
 
 
-def _standard_form(model: OptimizationModel):
+def _standard_form(cm: CompiledModel):
     """Rewrite into equality form with all lower bounds at zero."""
     inf = math.inf
-    transforms: dict[str, tuple[str, int, float]] = {}
+    transforms: list[tuple[str, int, float]] = []
     upper: list[float] = []
     cost: list[float] = []
     const = 0.0
-    for v in model.variables:
-        c = model.objective.get(v.name, 0.0)
+    for lo, hi, c in zip(cm.lower, cm.upper, cm.cost):
         col = len(upper)
-        if v.lower > -inf:
-            transforms[v.name] = ("shift", col, v.lower)
-            upper.append(v.upper - v.lower)
+        if lo > -inf:
+            transforms.append(("shift", col, lo))
+            upper.append(hi - lo)
             cost.append(c)
-            const += c * v.lower
-        elif v.upper < inf:
-            transforms[v.name] = ("negate", col, v.upper)
+            const += c * lo
+        elif hi < inf:
+            transforms.append(("negate", col, hi))
             upper.append(inf)
             cost.append(-c)
-            const += c * v.upper
+            const += c * hi
         else:
-            transforms[v.name] = ("split", col, 0.0)
+            transforms.append(("split", col, 0.0))
             upper.extend((inf, inf))
             cost.extend((c, -c))
     nstruct = len(upper)
-    m = len(model.constraints)
-    nslack = sum(1 for row in model.constraints if row.sense != EQ)
+    m = len(cm.constraints)
+    nslack = sum(1 for row in cm.constraints if row.sense != EQ)
     A = np.zeros((m, nstruct + nslack))
     b = np.zeros(m)
     flips = np.ones(m)
     scol = nstruct
-    for i, row in enumerate(model.constraints):
+    for i, row in enumerate(cm.constraints):
         rhs = row.rhs
-        for name, coef in row.coeffs:
-            kind, col, off = transforms[name]
+        for j, coef in cm.terms(i):
+            kind, col, off = transforms[j]
             if kind == "shift":
                 A[i, col] += coef
                 rhs -= coef * off
@@ -166,6 +166,8 @@ def _run(T, Tb, basis, in_basis, at_upper, upper, c, allow, maxiter):
         else:
             rr = rows[np.argmax(np.abs(g[rows]))]
         lv = basis[rr]
+        # read before the pivot: g may view column j, which becomes a unit
+        at_upper[lv] = g[rr] < 0
         piv = T[rr, j]
         T[rr] /= piv
         Tb[rr] /= piv
@@ -183,7 +185,6 @@ def _run(T, Tb, basis, in_basis, at_upper, upper, c, allow, maxiter):
         in_basis[j] = True
         in_basis[lv] = False
         at_upper[j] = False
-        at_upper[lv] = g[rr] < 0
         if sparse:
             # only the columns in the pivot row changed (or changed price)
             changed = T[:, nz_cols]
@@ -199,16 +200,17 @@ def _run(T, Tb, basis, in_basis, at_upper, upper, c, allow, maxiter):
     return ITERATION_LIMIT, iters
 
 
-def solve_lp(model: OptimizationModel, *, maxiter: int = 50000) -> SimplexResult:
+def solve_lp(model: OptimizationModel | CompiledModel, *,
+             maxiter: int = 50000) -> SimplexResult:
     """Solve the linear relaxation of `model` (integrality is ignored).
 
-    Models with a quadratic objective are rejected; strip it first if a
-    feasible vertex is all that is needed.
+    Models with a nonzero quadratic weight are rejected; zero it first if
+    a feasible vertex is all that is needed.
     """
-    model.validate()
-    if model.quadratic:
+    cm = compile_model(model)
+    if any(cm.quad):
         raise ModelError("quadratic objective passed to the LP solver")
-    transforms, A, b, c, u, const, flips = _standard_form(model)
+    transforms, A, b, c, u, const, flips = _standard_form(cm)
     m, nreal = A.shape
     T = np.hstack([A, np.eye(m)])
     Tb = b.copy()
@@ -240,8 +242,7 @@ def solve_lp(model: OptimizationModel, *, maxiter: int = 50000) -> SimplexResult
     x_full = np.where(at_upper & np.isfinite(upper), upper, 0.0)
     x_full[basis] = _basic_values(T, Tb, at_upper, upper)
     x: dict[str, float] = {}
-    for v in model.variables:
-        kind, col, off = transforms[v.name]
+    for v, (kind, col, off) in zip(cm.variables, transforms):
         if kind == "shift":
             x[v.name] = float(x_full[col] + off)
         elif kind == "negate":
@@ -250,7 +251,7 @@ def solve_lp(model: OptimizationModel, *, maxiter: int = 50000) -> SimplexResult
             x[v.name] = float(x_full[col] - x_full[col + 1])
     y = c2[basis] @ T[:, nreal:] if m else np.zeros(0)
     duals = {row.name: float(y[i] * flips[i])
-             for i, row in enumerate(model.constraints)}
+             for i, row in enumerate(cm.constraints)}
     obj = float(c2 @ x_full + const)
     return SimplexResult(OPTIMAL, x, obj, duals, iters)
 

@@ -54,8 +54,6 @@ class SolverConfig:
     backend: str = field(default_factory=default_backend)
     time_limit: float | None = None
     node_limit: int = 200000
-    lp_maxiter: int = 50000
-    qp_maxiter: int = 5000
 
 
 @dataclass
@@ -71,15 +69,14 @@ class SolveResult:
 
 
 def solve_model(model: OptimizationModel, config: SolverConfig | None = None, *,
-                warm: tuple[dict[str, float], ...] = (),
-                priority: dict[str, int] | None = None) -> SolveResult:
+                warm: tuple[dict[str, float], ...] = ()) -> SolveResult:
     """Minimize `model`, honoring integrality and quadratic terms."""
     config = config or SolverConfig()
     start = time.perf_counter()
     if config.backend.startswith("external:"):
         result = _solve_external(model, config)
     elif config.backend == "builtin":
-        result = _solve_builtin(model, config, warm, priority)
+        result = _solve_builtin(model, config, warm)
     else:
         raise ModelError(f"unknown backend {config.backend!r}")
     result.stats["solve_seconds"] = time.perf_counter() - start
@@ -87,23 +84,22 @@ def solve_model(model: OptimizationModel, config: SolverConfig | None = None, *,
 
 
 def _solve_builtin(model: OptimizationModel, config: SolverConfig,
-                   warm: tuple[dict[str, float], ...],
-                   priority: dict[str, int] | None) -> SolveResult:
+                   warm: tuple[dict[str, float], ...]) -> SolveResult:
     if model.quadratic:
         if model.is_integer_program():
             raise ModelError("integral variables with a quadratic objective")
         best_warm = warm[0] if warm else None
-        r = solve_qp(model, warm=best_warm, maxiter=config.qp_maxiter)
+        r = solve_qp(model, warm=best_warm)
         return SolveResult(_STATUS[r.status], r.x, r.objective, r.objective,
                            0.0 if r.status == "optimal" else None,
                            r.duals, r.kkt, {"iterations": r.iterations})
     if model.is_integer_program():
         r = solve_ilp(model, warm=warm, node_limit=config.node_limit,
-                      time_limit=config.time_limit, priority=priority)
+                      time_limit=config.time_limit)
         gap = r.gap if r.objective is not None else None
         return SolveResult(_STATUS[r.status], r.x, r.objective, r.best_bound,
                            gap, None, None, {"nodes": r.nodes})
-    r = solve_lp(model, maxiter=config.lp_maxiter)
+    r = solve_lp(model)
     return SolveResult(_STATUS[r.status], r.x, r.objective, r.objective,
                        0.0 if r.status == "optimal" else None,
                        r.duals, None, {"iterations": r.iterations})

@@ -1,5 +1,6 @@
 """Branch and bound against exhaustive integer search."""
 
+import math
 import random
 
 import pytest
@@ -23,8 +24,11 @@ def random_ilp(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 4)
     m = rng.randint(0, 4)
-    variables = [Variable(f"x{i}", 0.0, float(rng.randint(1, 5)), True)
-                 for i in range(n)]
+    variables = []
+    for i in range(n):
+        lower = float(rng.randint(-3, 0))
+        upper = lower + rng.randint(1, 5) + rng.choice((0.0, 0.5))
+        variables.append(Variable(f"x{i}", lower, upper, True))
     rows = []
     for j in range(m):
         coeffs = tuple((f"x{i}", float(rng.randint(-3, 3))) for i in range(n))
@@ -109,14 +113,28 @@ class TestHandCases:
         assert r.status == "optimal"
         assert r.objective == pytest.approx(2.0)
 
-    def test_priority_classes_change_branch_order_not_result(self):
-        model = random_ilp(7)
-        base = solve_ilp(model)
-        prio = {v.name: i % 2 for i, v in enumerate(model.variables)}
-        redo = solve_ilp(model, priority=prio)
-        assert base.status == redo.status
-        if base.status == "optimal":
-            assert redo.objective == pytest.approx(base.objective)
+    def test_fractional_bound_prunes_empty_child(self):
+        # the up branch of x=2.5 would need 3 <= x <= 2.5
+        model = ilp([Variable("x", 0.0, 2.5, True)], [], {"x": -1.0})
+        r = solve_ilp(model)
+        assert r.status == "optimal" and r.x == {"x": 2.0}
+
+    @pytest.mark.parametrize("lower, upper, row, sense, rhs, cost, want", [
+        # negated column at the root, shifted once x >= -2
+        (-math.inf, 5.0, 2.0, GE, -5.0, 1.0, -2.0),
+        # split column at the root, negated once y <= 2
+        (-math.inf, math.inf, 2.0, LE, 5.0, -1.0, 2.0),
+        # split column at the root, shifted once y >= -2
+        (-math.inf, math.inf, 2.0, GE, -5.0, 1.0, -2.0),
+    ])
+    def test_node_bounds_change_column_transform(self, lower, upper, row,
+                                                 sense, rhs, cost, want):
+        model = ilp([Variable("v", lower, upper, True)],
+                    [LinearConstraint("r", (("v", row),), sense, rhs)],
+                    {"v": cost})
+        r = solve_ilp(model)
+        assert r.status == "optimal"
+        assert r.x == {"v": want} and r.nodes == 3
 
 
 @settings(max_examples=120, deadline=None)

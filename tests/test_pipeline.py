@@ -130,8 +130,21 @@ class TestInputErrors:
         assert r.exit_code == EXIT_INPUT and "integral" in r.message
 
     def test_bad_delta_override(self, tmp_path):
-        r = run(tmp_path, CROSSING, delta=-1.0)
-        assert r.exit_code == EXIT_INPUT
+        for flag, value in [("delta", -1.0), ("delta", math.inf),
+                            ("delta_bar", math.inf), ("r_min", math.inf),
+                            ("r_min", math.nan), ("r_min", 0.0),
+                            ("r_min", -1.0)]:
+            r = run(tmp_path, CROSSING, svg_path=str(tmp_path / "out.svg"),
+                    **{flag: value})
+            assert r.exit_code == EXIT_INPUT, (flag, value, r.message)
+
+    def test_infinite_spacing_in_file(self, tmp_path):
+        text = Path(CROSSING).read_text().replace('"delta": 1.0',
+                                                  '"delta": 1e999')
+        bad = tmp_path / "inf.json"
+        bad.write_text(text)
+        r = run(tmp_path, str(bad))
+        assert r.exit_code == EXIT_INPUT and "finite" in r.message
 
     def test_compare_rejects_fractional_spacing(self, tmp_path):
         r = run(tmp_path, CROSSING, compare=True, delta=0.5)

@@ -111,13 +111,6 @@ class TestBuilders:
         assert dict(rows["dlink_t1_c0"].coeffs) == {
             "y_t1_c0": 1.0, "y_t2_c0": -1.0, "d_t1_c0": -1.0}
 
-    def test_qwh_magnitude_form(self):
-        inst, params = crossing()
-        model, _ = build_qwh_program(inst, params, w_form=True)
-        assert model.quadratic == {"w_t1_c0": 1.0, "w_t1_c1": 1.0}
-        assert all(v.lower == 0.0 for v in model.variables
-                   if v.name.startswith("w_"))
-
     def test_wc_crossing_shape(self):
         inst, params = crossing()
         model, index = build_wc_program(inst, params)

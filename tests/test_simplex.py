@@ -100,6 +100,25 @@ class TestHandCases:
         assert r.status == "optimal"
         assert r.objective == pytest.approx(0.0)
 
+    def test_variable_leaving_at_upper_bound_stays_there(self):
+        # phase 2 enters a slack from its lower bound and x0 leaves the
+        # basis at its upper bound; marking x0 at lower instead made the
+        # basis infeasible and the "optimal" point broke r0
+        model = lp(
+            [Variable("x0", -3.0, 1.0), Variable("x1", -1.0, 4.0),
+             Variable("x2", -3.0, 2.0)],
+            [LinearConstraint("r0", (("x0", 2.0), ("x1", -1.0), ("x2", -1.0)),
+                              LE, -1.0),
+             LinearConstraint("r1", (("x0", 3.0), ("x1", -3.0), ("x2", 3.0)),
+                              LE, 1.0),
+             LinearConstraint("r2", (("x0", -1.0), ("x1", 3.0), ("x2", 2.0)),
+                              GE, 2.0)],
+            {"x0": -2.0, "x1": -1.0, "x2": 0.0})
+        r = solve_lp(model)
+        assert r.status == "optimal"
+        assert model_violations(model, r.x, tol=1e-9) == []
+        assert r.objective == pytest.approx(lp_vertex_optimum(model), abs=1e-9)
+
     def test_rejects_quadratic(self):
         model = OptimizationModel("q", [Variable("x")], quadratic={"x": 1.0})
         with pytest.raises(ModelError):

@@ -2,9 +2,11 @@
 
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
+import storywiggle
 from storywiggle.lpsolve import main as lpsolve_main
 from storywiggle.programs import (GE, LE, LinearConstraint, ModelError,
                                   OptimizationModel, Variable)
@@ -89,6 +91,13 @@ class TestDispatch:
 
 
 class TestExternalBackend:
+    @pytest.fixture(autouse=True)
+    def package_on_path(self, monkeypatch):
+        # the command is a fresh interpreter that must import the package
+        src = str(Path(storywiggle.__file__).parent.parent)
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+
     def test_round_trip_lp(self):
         base = solve_model(lp_model())
         ext = solve_model(lp_model(), SolverConfig(backend=EXTERNAL))
