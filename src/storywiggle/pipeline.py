@@ -34,7 +34,10 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
-EXIT_TIME = 4
+EXIT_TIME = 4           # a time, node or iteration limit stopped the solver
+
+_LIMITS = (SolveStatus.TIME_LIMIT, SolveStatus.NODE_LIMIT,
+           SolveStatus.ITERATION_LIMIT)
 
 OBJECTIVES = ("wc", "lwh", "qwh", "wigglefree", "wc-unrestricted")
 
@@ -189,7 +192,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         metrics = {"solverStatus": status.value, "objective": objective_value,
                    **extras}
         _write_json(config.metrics_path, metrics)
-        code = EXIT_TIME if status is SolveStatus.TIME_LIMIT else EXIT_INFEASIBLE
+        code = EXIT_TIME if status in _LIMITS else EXIT_INFEASIBLE
         return PipelineResult(code, metrics=metrics,
                               message=f"solver stopped: {status.value}")
 
@@ -224,7 +227,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     if mismatch:
         return PipelineResult(EXIT_MISMATCH, metrics, svg, report,
                               "oracle cross-check failed")
-    code = EXIT_TIME if status is SolveStatus.TIME_LIMIT else EXIT_OK
+    code = EXIT_TIME if status in _LIMITS else EXIT_OK
     return PipelineResult(code, metrics, svg, report)
 
 

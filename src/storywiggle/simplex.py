@@ -1,4 +1,5 @@
-"""Two-phase primal simplex with variable bounds, on a dense tableau.
+"""Two-phase primal simplex with variable bounds, on a dense tableau, and
+a bounded dual simplex that reoptimizes a kept tableau under new bounds.
 
 The solver normalizes a compiled model to `min c'x, Ax = b, 0 <= x <= u`
 from its bound vectors: finite lower bounds are shifted out, upper-only
@@ -26,12 +27,28 @@ the same pivots.  Small tableaux keep the dense update, because the
 extra numpy calls cost more than they save there: timed on seed-7
 storyline LPs, the sparse path took 1.2-1.3x the dense time below 3k
 cells, 0.9-1.04x between 9k and 18k, and at most 0.9x from 24k up.
+
+`solve_lp(..., keep_tableau=True)` hands its final phase-2 tableau back
+as a `Tableau`.  Column bounds enter a tableau only through the values
+of its nonbasic columns, never through its reduced costs, so an optimal
+basis stays dual feasible under any new bounds, and `Tableau.resolve`
+reoptimizes it in place with the dual simplex (`_dual`, after Bixby
+2002, "Solving real-world linear programs"): the basic variable furthest
+outside its bounds leaves, the dual ratio test picks the entering
+column, and a row that no column can move back proves the bounds
+infeasible.  One exception needs care.  A column whose new bounds fix it
+(l = u) cannot enter, so while it is fixed its reduced cost may change
+sign; when later bounds free it, it may sit at the bound its reduced
+cost points away from.  `resolve` first moves every such column to the
+other bound.  Without that step the dual loop starts from a basis that
+is not dual feasible and stops at a point that is not optimal: branch
+and bound then reported 7 of its 13 benchmark `wc` optima too high.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +62,7 @@ ITERATION_LIMIT = "iteration_limit"
 
 _STALL_LIMIT = 60
 _SPARSE_MIN_CELLS = 20_000
+_DUAL_MAXITER = 1000
 
 
 @dataclass
@@ -54,6 +72,7 @@ class SimplexResult:
     objective: float | None
     duals: dict[str, float] | None
     iterations: int
+    tableau: Tableau | None = field(default=None, compare=False, repr=False)
 
 
 def _standard_form(cm: CompiledModel):
@@ -115,6 +134,34 @@ def _standard_form(cm: CompiledModel):
     return transforms, A, b, c, u, const, flips
 
 
+def _pivot(T, Tb, basis, in_basis, at_upper, rr, j, sparse):
+    """Make column j basic in row rr.
+
+    Returns the pivot row's nonzero columns on the sparse path (the only
+    columns whose entries or price changed), None on the dense one.
+    """
+    lv = basis[rr]
+    piv = T[rr, j]
+    T[rr] /= piv
+    Tb[rr] /= piv
+    col = T[:, j].copy()
+    col[rr] = 0.0
+    nz_cols = None
+    if sparse:
+        # cells outside this block would only lose a signed zero
+        nz_rows = np.flatnonzero(col)
+        nz_cols = np.flatnonzero(T[rr])
+        T[np.ix_(nz_rows, nz_cols)] -= np.outer(col[nz_rows], T[rr, nz_cols])
+    else:
+        T -= np.outer(col, T[rr])
+    Tb -= col * Tb[rr]
+    basis[rr] = j
+    in_basis[j] = True
+    in_basis[lv] = False
+    at_upper[j] = False
+    return nz_cols
+
+
 def _run(T, Tb, basis, in_basis, at_upper, upper, c, allow, maxiter):
     """Pivot until optimal, unbounded, or out of iterations."""
     m, n = T.shape
@@ -165,26 +212,9 @@ def _run(T, Tb, basis, in_basis, at_upper, upper, c, allow, maxiter):
             rr = rows[np.argmin(basis[rows])]
         else:
             rr = rows[np.argmax(np.abs(g[rows]))]
-        lv = basis[rr]
         # read before the pivot: g may view column j, which becomes a unit
-        at_upper[lv] = g[rr] < 0
-        piv = T[rr, j]
-        T[rr] /= piv
-        Tb[rr] /= piv
-        col = T[:, j].copy()
-        col[rr] = 0.0
-        if sparse:
-            # cells outside this block would only lose a signed zero
-            nz_rows = np.flatnonzero(col)
-            nz_cols = np.flatnonzero(T[rr])
-            T[np.ix_(nz_rows, nz_cols)] -= np.outer(col[nz_rows], T[rr, nz_cols])
-        else:
-            T -= np.outer(col, T[rr])
-        Tb -= col * Tb[rr]
-        basis[rr] = j
-        in_basis[j] = True
-        in_basis[lv] = False
-        at_upper[j] = False
+        at_upper[basis[rr]] = g[rr] < 0
+        nz_cols = _pivot(T, Tb, basis, in_basis, at_upper, rr, j, sparse)
         if sparse:
             # only the columns in the pivot row changed (or changed price)
             changed = T[:, nz_cols]
@@ -201,11 +231,12 @@ def _run(T, Tb, basis, in_basis, at_upper, upper, c, allow, maxiter):
 
 
 def solve_lp(model: OptimizationModel | CompiledModel, *,
-             maxiter: int = 50000) -> SimplexResult:
+             maxiter: int = 50000, keep_tableau: bool = False) -> SimplexResult:
     """Solve the linear relaxation of `model` (integrality is ignored).
 
     Models with a nonzero quadratic weight are rejected; zero it first if
-    a feasible vertex is all that is needed.
+    a feasible vertex is all that is needed.  With `keep_tableau`, an
+    optimal result carries its final tableau for `Tableau.resolve`.
     """
     cm = compile_model(model)
     if any(cm.quad):
@@ -253,7 +284,11 @@ def solve_lp(model: OptimizationModel | CompiledModel, *,
     duals = {row.name: float(y[i] * flips[i])
              for i, row in enumerate(cm.constraints)}
     obj = float(c2 @ x_full + const)
-    return SimplexResult(OPTIMAL, x, obj, duals, iters)
+    tableau = None
+    if keep_tableau:
+        tableau = Tableau(cm, transforms, T, Tb, basis, in_basis, at_upper,
+                          upper, c2, allow, const)
+    return SimplexResult(OPTIMAL, x, obj, duals, iters, tableau)
 
 
 def _basic_values(T, Tb, at_upper, upper):
@@ -261,3 +296,131 @@ def _basic_values(T, Tb, at_upper, upper):
     if up_idx.size:
         return Tb - T[:, up_idx] @ upper[up_idx]
     return Tb.copy()
+
+
+class Tableau:
+    """An optimal tableau that `resolve` reoptimizes under new bounds.
+
+    Columns keep the coordinates of the standard form the tableau was
+    built in: l <= x_j <= u becomes l - lo <= x' <= u - lo on a column
+    shifted by its lower bound lo, and hi - u <= x' <= hi - l on one
+    negated about its upper bound hi.
+    """
+
+    def __init__(self, cm: CompiledModel, transforms, T, Tb, basis, in_basis,
+                 at_upper, upper, cost, allow, const):
+        self.names = [v.name for v in cm.variables]
+        self.T, self.Tb, self.basis = T, Tb, basis
+        self.in_basis, self.at_upper = in_basis, at_upper
+        self.upper, self.cost, self.allow, self.const = upper, cost, allow, const
+        self.r = cost - cost[basis] @ T
+        self.ctol = 1e-9 * (1.0 + (np.abs(cost).max() if cost.size else 0.0))
+        by_kind = {kind: [] for kind in ("shift", "negate", "split")}
+        for j, (kind, col, off) in enumerate(transforms):
+            by_kind[kind].append((j, col, off))
+        self.kinds = {
+            kind: (np.array([t[0] for t in cols], dtype=int),
+                   np.array([t[1] for t in cols], dtype=int),
+                   np.array([t[2] for t in cols], dtype=float))
+            for kind, cols in by_kind.items()}
+
+    def resolve(self, lower, upper) -> SimplexResult | None:
+        """Reoptimize under model column bounds `lower`/`upper`.
+
+        Returns None where this tableau cannot answer and a cold solve
+        must: a bound on a split free column, a column whose reduced cost
+        points at an infinite bound, or a dual loop out of iterations.
+        """
+        L = np.asarray(lower, dtype=float)
+        U = np.asarray(upper, dtype=float)
+        j, col, _ = self.kinds["split"]
+        if np.isfinite(L[j]).any() or np.isfinite(U[j]).any():
+            return None
+        lo = np.zeros(self.upper.size)
+        up = self.upper.copy()
+        j, col, off = self.kinds["shift"]
+        lo[col] = L[j] - off
+        up[col] = U[j] - off
+        j, col, off = self.kinds["negate"]
+        lo[col] = off - U[j]
+        up[col] = off - L[j]
+
+        # A column fixed (l = u) by an earlier solve could not enter its
+        # ratio tests, so its reduced cost may now disagree with the bound
+        # it sits at.  Move it to the bound its sign asks for, or the
+        # basis is not dual feasible and the dual loop stops too early.
+        r, at_upper = self.r, self.at_upper
+        movable = self.allow & ~self.in_basis & (up > lo)
+        to_upper = movable & (r < -self.ctol)
+        if np.isinf(up[to_upper]).any():
+            return None
+        at_upper[to_upper] = True
+        at_upper[movable & (r > self.ctol)] = False
+        at_upper &= np.isfinite(up)
+
+        status, iters, x_full = _dual(self.T, self.Tb, self.basis, self.in_basis,
+                                      at_upper, lo, up, r, self.cost, self.allow,
+                                      _DUAL_MAXITER)
+        if status == ITERATION_LIMIT:
+            return None
+        if status != OPTIMAL:
+            return SimplexResult(status, None, None, None, iters)
+        values = np.empty(len(self.names))
+        j, col, off = self.kinds["shift"]
+        values[j] = x_full[col] + off
+        j, col, off = self.kinds["negate"]
+        values[j] = off - x_full[col]
+        j, col, _ = self.kinds["split"]
+        values[j] = x_full[col] - x_full[col + 1]
+        obj = float(self.cost @ x_full + self.const)
+        return SimplexResult(OPTIMAL, dict(zip(self.names, values.tolist())),
+                             obj, None, iters)
+
+
+def _dual(T, Tb, basis, in_basis, at_upper, lo, up, r, c, allow, maxiter):
+    """Bounded dual simplex from a dual feasible basis.
+
+    Nonbasic columns sit at `lo`, or at `up` where `at_upper`.  The basic
+    variable furthest outside its bounds leaves at the bound it broke;
+    the entering column is the one whose reduced cost reaches zero first
+    as that row's dual moves (the dual ratio test), ties going to the
+    largest pivot.  When no column can move the row back, the bounds are
+    infeasible.  `r` holds the reduced costs and is kept current.
+    Returns the status, the pivot count and, if optimal, every column's
+    value.
+    """
+    m = T.shape[0]
+    sparse = T.size >= _SPARSE_MIN_CELLS
+    movable = allow & (up > lo)
+    iters = 0
+    while True:
+        x = np.where(at_upper, up, lo)
+        x[basis] = 0.0
+        xB = Tb - T @ x
+        x[basis] = xB
+        below = lo[basis] - xB
+        above = xB - up[basis]
+        viol = np.maximum(below, above)
+        rr = int(np.argmax(viol)) if m else 0
+        if not m or viol[rr] <= 1e-9 * (1.0 + np.abs(xB).max()):
+            return OPTIMAL, iters, x
+        if iters >= maxiter:
+            return ITERATION_LIMIT, iters, None
+        to_lower = below[rr] > 0.0
+        # how far row rr moves toward its broken bound per unit step of
+        # each column away from its own bound
+        step = np.where(at_upper, T[rr], -T[rr])
+        if not to_lower:
+            step = -step
+        idx = np.flatnonzero(movable & ~in_basis & (step > 1e-9))
+        if idx.size == 0:
+            return INFEASIBLE, iters, None
+        d = np.maximum(np.where(at_upper[idx], -r[idx], r[idx]), 0.0)
+        ratios = d / step[idx]
+        ties = idx[ratios <= ratios.min() + 1e-12]
+        q = ties[np.argmax(step[ties])]
+        at_upper[basis[rr]] = not to_lower
+        nz_cols = _pivot(T, Tb, basis, in_basis, at_upper, rr, q, sparse)
+        iters += 1
+        cols = slice(None) if nz_cols is None else nz_cols
+        r[cols] = c[cols] - c[basis] @ T[:, cols]

@@ -38,11 +38,11 @@ class SolveStatus(str, Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
+    NODE_LIMIT = "node_limit"
     TIME_LIMIT = "time_limit"
 
 
 _STATUS = {s.value: s for s in SolveStatus}
-_STATUS["node_limit"] = SolveStatus.ITERATION_LIMIT
 
 
 def default_backend() -> str:
@@ -112,11 +112,10 @@ def _solve_external(model: OptimizationModel, config: SolverConfig) -> SolveResu
         sol_path = os.path.join(tmp, "out.sol")
         with open(lp_path, "w", encoding="utf-8") as fh:
             fh.write(write_lp(model))
-        timeout = config.time_limit * 10 if config.time_limit else None
         try:
             proc = subprocess.run(command + [lp_path, sol_path],
                                   capture_output=True, text=True,
-                                  timeout=timeout)
+                                  timeout=config.time_limit)
         except subprocess.TimeoutExpired:
             return SolveResult(SolveStatus.TIME_LIMIT, None, None, None, None,
                                None, None)

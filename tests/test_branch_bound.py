@@ -1,17 +1,35 @@
-"""Branch and bound against exhaustive integer search."""
+"""Branch and bound against exhaustive integer search, cold node solves
+and HiGHS."""
 
 import math
 import random
+from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_ilp
 from storywiggle.branch_bound import solve_ilp
+from storywiggle.generate import generate_instance
+from storywiggle.instance import minimal_stack_coordination
 from storywiggle.programs import (EQ, GE, LE, LinearConstraint,
                                   OptimizationModel, Variable,
+                                  assignment_from_coordination,
+                                  build_wc_program, compile_model,
                                   model_violations)
+from storywiggle import simplex
+from storywiggle.simplex import Tableau, solve_lp
+
+# The 6x6 `wc` instances the benchmark solves (generator seed: optimum).
+EASY_WC = {11: 4.277777777777778, 12: 4.2631578947368425,
+           25: 4.2631578947368425, 34: 4.315789473684211,
+           41: 4.333333333333333, 56: 4.333333333333333,
+           66: 4.2631578947368425, 69: 4.25, 70: 4.235294117647059,
+           71: 4.352941176470589, 84: 4.2272727272727275,
+           85: 4.2631578947368425}
 
 
 def ilp(variables, constraints, objective):
@@ -150,3 +168,100 @@ def test_matches_exhaustive_search(seed):
     assert r.objective == pytest.approx(expected[0], abs=1e-7)
     assert model_violations(model, r.x, tol=1e-6) == []
     assert all(abs(v - round(v)) < 1e-6 for v in r.x.values())
+
+
+def wc_model(n, steps, seed):
+    inst, params = generate_instance(n, steps, seed=seed, meeting_prob=0.5)
+    model, index = build_wc_program(inst, params)
+    warm = assignment_from_coordination(
+        model, index, minimal_stack_coordination(inst, params))
+    return model, warm
+
+
+def solve_checking_nodes(model, **kwargs):
+    """Solve, checking each warm-started node LP against a cold solve."""
+    cm = compile_model(model)
+    real = Tableau.resolve
+    nodes = []
+
+    def resolve(self, lower, upper, **kw):
+        warm = real(self, lower, upper, **kw)
+        cold = solve_lp(replace(cm, lower=lower, upper=upper))
+        assert warm is not None and warm.status == cold.status
+        if cold.status == "optimal":
+            assert abs(warm.objective - cold.objective) \
+                <= 1e-9 * (1 + abs(cold.objective))
+        nodes.append(warm.status)
+        return warm
+
+    with mock.patch.object(Tableau, "resolve", resolve):
+        r = solve_ilp(model, **kwargs)
+    assert len(nodes) == r.nodes - 1          # every node but the root
+    return r
+
+
+class TestWarmNodes:
+    @pytest.mark.parametrize("seed", sorted(EASY_WC))
+    def test_wc_nodes_match_cold_solves(self, seed):
+        model, warm = wc_model(6, 6, seed)
+        r = solve_checking_nodes(model, warm=(warm,))
+        assert r.status == "optimal" and r.objective == EASY_WC[seed]
+
+    @pytest.mark.parametrize("seed", [11, 41, 84])
+    def test_sparse_pivots_match_cold_solves(self, seed):
+        model, warm = wc_model(6, 6, seed)
+        with mock.patch.object(simplex, "_SPARSE_MIN_CELLS", 0):
+            r = solve_checking_nodes(model, warm=(warm,))
+        assert r.status == "optimal" and r.objective == EASY_WC[seed]
+
+    def test_random_nodes_match_cold_solves(self):
+        statuses = set()
+        for seed in range(250):
+            model = random_ilp(seed)
+            r = solve_checking_nodes(model)
+            statuses.add(r.status)
+        assert statuses == {"optimal", "infeasible"}
+
+    def test_fixed_column_is_moved_to_the_bound_its_cost_asks_for(self):
+        # A node that fixes a column leaves it nonbasic at either bound,
+        # and later pivots may flip the sign of its reduced cost.  A later
+        # node that frees it again must first move it to the bound that
+        # sign asks for; left where it was, the basis is not dual
+        # feasible, and here the search ends at 7 instead of 4.
+        model = ilp(
+            [Variable("x0", 0.0, 2.0, True), Variable("x1", -1.0, 1.0, True),
+             Variable("x2", -3.0, -1.0, True)],
+            [LinearConstraint("r", (("x0", -3.0), ("x1", -2.0), ("x2", 2.0)),
+                              LE, -1.0)],
+            {"x0": 4.0, "x1": 1.0, "x2": -4.0})
+        r = solve_checking_nodes(model)
+        assert r.status == "optimal" and r.objective == pytest.approx(4.0)
+        assert r.x == {"x0": 0.0, "x1": 0.0, "x2": -1.0}
+
+
+def test_matches_highs_on_wc_models():
+    optimize = pytest.importorskip("scipy.optimize")
+    for n, steps, seed in [(4, 4, 1), (4, 5, 2), (4, 6, 3), (5, 4, 4),
+                           (5, 5, 5), (5, 6, 6), (6, 4, 7), (6, 5, 8),
+                           (6, 6, 9), (5, 5, 10)]:
+        model, warm = wc_model(n, steps, seed)
+        cm = compile_model(model)
+        A = np.zeros((len(cm.constraints), len(cm.variables)))
+        lo = np.full(len(cm.constraints), -np.inf)
+        hi = np.full(len(cm.constraints), np.inf)
+        for i, row in enumerate(cm.constraints):
+            for j, coef in cm.terms(i):
+                A[i, j] += coef
+            if row.sense in (GE, EQ):
+                lo[i] = row.rhs
+            if row.sense in (LE, EQ):
+                hi[i] = row.rhs
+        ref = optimize.milp(
+            np.array(cm.cost), constraints=optimize.LinearConstraint(A, lo, hi),
+            integrality=[v.integral for v in cm.variables],
+            bounds=optimize.Bounds(cm.lower, cm.upper),
+            options={"mip_rel_gap": 0.0})
+        assert ref.status == 0
+        r = solve_ilp(model, warm=(warm,))
+        assert r.status == "optimal"
+        assert r.objective == pytest.approx(ref.fun, abs=1e-6)

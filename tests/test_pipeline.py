@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -192,8 +193,42 @@ class TestSolverOutcomes:
         assert svg_path.exists()
 
 
+    def test_iteration_limit_with_layout_exits_four(self, tmp_path,
+                                                    monkeypatch):
+        real = pipeline_mod.solve_model
+
+        def stopped_early(model, config=None, **kw):
+            r = real(model, config, **kw)
+            r.status = SolveStatus.ITERATION_LIMIT
+            return r
+
+        monkeypatch.setattr(pipeline_mod, "solve_model", stopped_early)
+        r = run(tmp_path, CROSSING, objective="lwh")
+        assert r.exit_code == EXIT_TIME
+        assert r.metrics["solverStatus"] == "iteration_limit"
+
+    @pytest.mark.parametrize("status", [SolveStatus.NODE_LIMIT,
+                                        SolveStatus.ITERATION_LIMIT])
+    def test_other_limits_without_incumbent_exit_four(self, tmp_path,
+                                                      monkeypatch, status):
+        def stub(model, config=None, **kw):
+            return SolveResult(status, None, None, None, None, None, None)
+
+        monkeypatch.setattr(pipeline_mod, "solve_model", stub)
+        r = run(tmp_path, CROSSING, objective="lwh")
+        assert r.exit_code == EXIT_TIME
+        assert r.metrics["solverStatus"] == status.value
+
+    def test_node_limit_on_wc_exits_four(self, tmp_path, monkeypatch):
+        real = pipeline_mod._solver_config
+        monkeypatch.setattr(pipeline_mod, "_solver_config",
+                            lambda config: replace(real(config), node_limit=1))
+        r = run(tmp_path, DEMO, objective="wc")
+        assert r.exit_code == EXIT_TIME
+        assert r.metrics["solverStatus"] == "node_limit"
+
     def test_external_timeout_exits_four(self, tmp_path):
-        # the external command gets ten times the limit, then is killed
+        # the external command gets the limit, then is killed
         backend = f"external:{sys.executable} -c 'import time; time.sleep(30)'"
         r = run(tmp_path, CROSSING, objective="lwh", backend=backend,
                 time_limit=0.05)

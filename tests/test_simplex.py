@@ -6,6 +6,7 @@ large tableaux take), which must agree exactly.
 
 import math
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -18,7 +19,8 @@ from storywiggle.generate import generate_instance
 from storywiggle.programs import (EQ, GE, LE, LinearConstraint, ModelError,
                                   OptimizationModel, Variable,
                                   build_lwh_program, build_wc_program,
-                                  model_violations, objective_value)
+                                  compile_model, model_violations,
+                                  objective_value)
 
 
 def solve_lp(model):
@@ -132,6 +134,48 @@ class TestHandCases:
         r = solve_lp(model)
         assert r.x["x"] == pytest.approx(2.0)
         assert r.x["y"] == pytest.approx(3.0)
+
+
+class TestTableau:
+    def box(self):
+        # min -x - 2y  s.t.  x + y <= 3,  0 <= x, y <= 2: optimum x=1, y=2
+        return lp([Variable("x", 0.0, 2.0), Variable("y", 0.0, 2.0)],
+                  [LinearConstraint("r", (("x", 1.0), ("y", 1.0)), LE, 3.0)],
+                  {"x": -1.0, "y": -2.0})
+
+    def test_resolve_matches_cold_solves(self):
+        model = self.box()
+        tab = simplex.solve_lp(model, keep_tableau=True).tableau
+        cases = [((0.0, 0.0), (2.0, 1.0)),         # y capped
+                 ((0.0, 0.0), (0.5, 2.0)),         # x capped: one pivot
+                 ((2.0, 2.0), (2.0, 2.0)),         # infeasible
+                 ((0.0, 0.0), (0.0, 2.0)),         # x fixed at 0
+                 ((0.0, 0.0), (2.0, 2.0))]         # the root's bounds again
+        for lower, upper in cases:
+            warm = tab.resolve(lower, upper)
+            cold = solve_lp(replace(compile_model(model),
+                                    lower=lower, upper=upper))
+            assert warm.status == cold.status
+            if cold.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+                assert warm.x == pytest.approx(cold.x, abs=1e-12)
+
+    def test_resolve_defers_what_it_cannot_answer(self):
+        tab = simplex.solve_lp(self.box(), keep_tableau=True).tableau
+        with mock.patch.object(simplex, "_DUAL_MAXITER", 0):
+            assert tab.resolve((0.0, 0.0), (0.5, 2.0)) is None
+        free = lp([Variable("x", -math.inf, math.inf)],
+                  [LinearConstraint("r", (("x", 1.0),), GE, -1.0)], {"x": 1.0})
+        tab = simplex.solve_lp(free, keep_tableau=True).tableau
+        assert tab.resolve((0.0,), (math.inf,)) is None     # split column
+        # x, fixed at 0, leaves at its upper bound with a negative reduced
+        # cost; freed again, the bound its cost asks for is infinite
+        row = lp([Variable("x", 0.0, math.inf), Variable("y", 0.0, math.inf)],
+                 [LinearConstraint("r", (("x", 1.0), ("y", 1.0)), LE, 4.0)],
+                 {"x": -1.0})
+        tab = simplex.solve_lp(row, keep_tableau=True).tableau
+        assert tab.resolve((0.0, 0.0), (0.0, math.inf)).objective == 0.0
+        assert tab.resolve((0.0, 0.0), (math.inf, math.inf)) is None
 
 
 class TestDuals:

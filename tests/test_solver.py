@@ -2,6 +2,7 @@
 
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -78,9 +79,16 @@ class TestDispatch:
         assert r.status is SolveStatus.INFEASIBLE
         assert r.assignment is None and r.gap is None
 
-    def test_node_limit_maps_to_iteration_limit(self):
+    def test_node_limit_has_its_own_status(self):
         r = solve_model(ilp_model(), SolverConfig(node_limit=0))
-        assert r.status is SolveStatus.ITERATION_LIMIT
+        assert r.status is SolveStatus.NODE_LIMIT
+
+    def test_external_honours_the_time_limit(self):
+        sleeper = f"external:{sys.executable} -c 'import time; time.sleep(30)'"
+        start = time.monotonic()
+        r = solve_model(lp_model(), SolverConfig(backend=sleeper, time_limit=0.5))
+        assert r.status is SolveStatus.TIME_LIMIT
+        assert time.monotonic() - start < 5.0
 
     def test_default_backend_env(self, monkeypatch):
         monkeypatch.delenv("STORYWIGGLE_BACKEND", raising=False)
