@@ -311,7 +311,7 @@ def validate_instance(inst: OrderedStorylineInstance) -> None:
              f"expected {inst.time_steps} orderings, got {len(inst.orderings)}")
     for c, (lo, hi) in inst.activity.items():
         _require(c in seen, f"activity[{c!r}]", "unknown character id")
-        _require(1 <= lo <= hi <= max(inst.time_steps, 1), f"activity[{c!r}]",
+        _require(1 <= lo <= hi <= inst.time_steps, f"activity[{c!r}]",
                  f"interval [{lo}, {hi}] outside [1, {inst.time_steps}]")
     for t in range(1, inst.time_steps + 1):
         order = inst.orderings[t - 1]

@@ -17,12 +17,12 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .instance import (Coordination, InstanceError, LayoutMetrics,
+from .instance import (Coordination, LayoutMetrics,
                        NicenessParams, OrderedStorylineInstance,
                        centered_stack_coordination, compute_metrics,
                        load_instance, minimal_stack_coordination)
 from .oracle import OracleLimitError, oracle_optimum
-from .programs import (ModelError, assignment_from_coordination,
+from .programs import (ModelError, assignment_from_coordination, big_y,
                        build_lwh_program, build_qwh_program, build_wc_program,
                        extract_coordination)
 from .render import RenderStyle, render_svg
@@ -95,22 +95,22 @@ def _solve_objective(inst: OrderedStorylineInstance, params: NicenessParams,
         extras["perGapWiggles"] = list(w.per_gap)
         return SolveStatus.OPTIMAL, w.coordination, float(w.wiggles), extras
 
-    warm_stack = minimal_stack_coordination(inst, params)
     if objective == "lwh":
+        # a pure LP: the simplex takes no warm start
         model, index = build_lwh_program(inst, params)
-        result = solve_model(model, solver_config,
-                             warm=(assignment_from_coordination(
-                                 model, index, warm_stack),))
+        result = solve_model(model, solver_config)
     elif objective == "qwh":
         model, index = build_qwh_program(inst, params)
         result = solve_model(model, solver_config,
                              warm=(assignment_from_coordination(
-                                 model, index, warm_stack),))
+                                 model, index,
+                                 minimal_stack_coordination(inst, params)),))
         if result.kkt is not None:
             extras["kktResidual"] = max(result.kkt.values())
     elif objective == "wc":
         model, index = build_wc_program(inst, params)
-        warm = [assignment_from_coordination(model, index, warm_stack)]
+        warm = [assignment_from_coordination(
+            model, index, minimal_stack_coordination(inst, params))]
         if lwh_coord is None:
             lwh_model, lwh_index = build_lwh_program(inst, params)
             lwh_result = solve_model(lwh_model, solver_config)
@@ -166,14 +166,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             EXIT_INPUT,
             message="oracle cross-check needs objective wc, lwh, or qwh")
     try:
-        inst, params = load_instance(config.input_path)
-    except OSError as e:
-        return PipelineResult(EXIT_INPUT, message=str(e))
-    except InstanceError as e:
-        return PipelineResult(EXIT_INPUT, message=str(e))
-    try:
-        params = _override_params(params, config)
-    except ValueError as e:
+        inst, params = _load(config)
+    except (OSError, ValueError) as e:
         return PipelineResult(EXIT_INPUT, message=str(e))
 
     solver_config = _solver_config(config)
@@ -231,12 +225,22 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     return PipelineResult(code, metrics, svg, report)
 
 
-def _override_params(params: NicenessParams, config: RunConfig) -> NicenessParams:
+def _load(config: RunConfig) -> tuple[OrderedStorylineInstance, NicenessParams]:
+    """The instance and its spacing after the overrides.
+
+    Raises OSError or ValueError (InstanceError among them) on bad input.
+    """
+    inst, params = load_instance(config.input_path)
     if config.r_min is not None and not 0 < config.r_min < math.inf:
         raise ValueError(f"rmin must be finite and positive, got {config.r_min}")
     delta = config.delta if config.delta is not None else params.delta
     delta_bar = config.delta_bar if config.delta_bar is not None else params.delta_bar
-    return NicenessParams(delta, delta_bar)
+    params = NicenessParams(delta, delta_bar)
+    # beyond 2**53 the layout's y-coordinates lose whole units
+    if not big_y(inst, params) <= 2.0 ** 53:
+        raise ValueError(f"spacing delta={delta}, deltaBar={delta_bar} puts "
+                         f"layouts beyond 2**53")
+    return inst, params
 
 
 def compare_objectives(inst: OrderedStorylineInstance, params: NicenessParams,
@@ -308,9 +312,8 @@ def _run_compare(config: RunConfig) -> PipelineResult:
         return PipelineResult(EXIT_INPUT,
                               message="--svg cannot be combined with --compare")
     try:
-        inst, params = load_instance(config.input_path)
-        params = _override_params(params, config)
-    except (OSError, InstanceError, ValueError) as e:
+        inst, params = _load(config)
+    except (OSError, ValueError) as e:
         return PipelineResult(EXIT_INPUT, message=str(e))
     try:
         table = compare_objectives(inst, params, _solver_config(config))

@@ -2,18 +2,26 @@
 
 Handles `min c'x + sum_i q_i x_i^2` with q >= 0 over linear rows and
 variable bounds of a compiled model.  Inequalities (rows and bounds
-alike) are normalized to `a'x >= b`; the working set holds the equality
-rows plus whichever inequalities are currently pinned.  Each step solves
-the equality constrained subproblem through its KKT system; when that
-system is inconsistent the objective is flat along some feasible ray, so
-the step walks the ray to the first blocking constraint instead.
-Multipliers decide which pinned row to release, with a lowest-index rule
-after a stretch of degenerate steps.
+alike) are normalized to `a'x >= b`; the working set W holds the
+equality rows plus whichever inequalities are currently pinned.
+
+Every iteration takes one step rule, the null-space form of the method
+(Nocedal and Wright, Numerical Optimization, ch. 16).  One SVD of W
+gives its rank, a basis Z of its null space, and the least-squares
+multipliers W'lam = g.  One `eigh` of the reduced Hessian Z'QZ splits
+the reduced gradient: on the curved eigendirections the step is the
+Newton step, capped at alpha = 1; when the gradient has a component on
+the flat ones the objective falls without bound along that ray, which
+is walked uncapped to the first blocking constraint.  A zero step means
+the working set's minimizer is reached, and the multipliers decide
+which pinned row to release, with a lowest-index rule after a stretch
+of degenerate steps.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +36,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
+TIME_LIMIT = "time_limit"
 
 _ACTIVE_TOL = 1e-8
 _MULT_TOL = 1e-8
@@ -47,7 +56,7 @@ class QpResult:
 def _build(cm: CompiledModel):
     names = [v.name for v in cm.variables]
     n = len(names)
-    Q = np.diag(2.0 * np.array(cm.quad, dtype=float))
+    q = 2.0 * np.array(cm.quad, dtype=float)
     c = np.array(cm.cost, dtype=float)
     eq_rows: list[tuple[np.ndarray, float, str]] = []
     ge_rows: list[tuple[np.ndarray, float, str]] = []
@@ -76,7 +85,7 @@ def _build(cm: CompiledModel):
     gb = np.array([b for _, b, _ in ge_rows])
     gnames = [name for _, _, name in ge_rows]
     enames = [name for _, _, name in eq_rows]
-    return names, Q, c, E, eb, enames, G, gb, gnames
+    return names, q, c, E, eb, enames, G, gb, gnames
 
 
 def _feasible_start(cm: CompiledModel,
@@ -92,25 +101,21 @@ def _feasible_start(cm: CompiledModel,
     return res.x
 
 
-def _null_space(A: np.ndarray, n: int) -> np.ndarray:
-    if A.size == 0:
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(A)
-    rank = int((s > 1e-10 * max(1.0, s[0] if s.size else 1.0)).sum())
-    return vt[rank:].T
-
-
 def solve_qp(model: OptimizationModel, *,
              warm: dict[str, float] | None = None,
-             maxiter: int = 5000) -> QpResult:
+             maxiter: int = 5000,
+             time_limit: float | None = None) -> QpResult:
     """Minimize the model's convex quadratic-plus-linear objective.
 
     Returns multipliers for every row (bound rows under `_lb_`/`_ub_`
     names, inequalities in their `>=` normalization) and the four KKT
     residual maxima under keys stationarity/primal/dual/complementarity.
+    A stop at `maxiter` or `time_limit` (seconds) returns the current
+    feasible iterate with the latest multipliers.
     """
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
     cm = compile_model(model)
-    names, Q, c, E, eb, enames, G, gb, gnames = _build(cm)
+    names, q, c, E, eb, enames, G, gb, gnames = _build(cm)
     n = len(names)
     if n == 0:
         return QpResult(OPTIMAL, {}, 0.0, {}, {"stationarity": 0.0, "primal": 0.0,
@@ -120,8 +125,7 @@ def solve_qp(model: OptimizationModel, *,
         return QpResult(INFEASIBLE, None, None, None, None, 0)
     x = np.array([start[name] for name in names])
 
-    resid = G @ x - gb if G.size else np.zeros(len(gnames))
-    active = [i for i in range(len(gnames)) if resid[i] <= _ACTIVE_TOL]
+    active = np.flatnonzero(G @ x - gb <= _ACTIVE_TOL).tolist()
     lam_g = np.zeros(len(gnames))
     lam_e = np.zeros(len(enames))
     stall = 0
@@ -129,21 +133,26 @@ def solve_qp(model: OptimizationModel, *,
     status = ITERATION_LIMIT
     iters = 0
     while iters < maxiter:
+        if deadline is not None and time.perf_counter() >= deadline:
+            status = TIME_LIMIT
+            break
         iters += 1
-        W = np.vstack([E, G[active]]) if (len(enames) or active) else np.zeros((0, n))
-        k = W.shape[0]
-        g = Q @ x + c
-        K = np.zeros((n + k, n + k))
-        K[:n, :n] = Q
-        K[:n, n:] = W.T
-        K[n:, :n] = W
-        rhs = np.concatenate([-g, np.zeros(k)])
-        sol, _, _, _ = np.linalg.lstsq(K, rhs, rcond=None)
-        consistent = np.abs(K @ sol - rhs).max() <= 1e-7 * (1.0 + np.abs(g).max())
-        p = sol[:n]
-        if consistent and np.abs(p).max() <= 1e-9:
-            nu = sol[n:]
-            lam = -nu
+        g = q * x + c
+        u, s, vt = np.linalg.svd(np.vstack([E, G[active]]))
+        rank = int((s > 1e-10 * s.max(initial=1.0)).sum())
+        Z = vt[rank:].T
+        vals, vecs = np.linalg.eigh(Z.T @ (q[:, None] * Z))
+        flat = vals <= 1e-9 * vals.max(initial=1.0)
+        gz = vecs.T @ (Z.T @ g)
+        ray = Z @ (vecs[:, flat] @ gz[flat])
+        if np.abs(ray).max(initial=0.0) > 1e-7 * (1.0 + np.abs(g).max()):
+            p = -ray / np.abs(ray).max()
+            alpha = math.inf
+        else:
+            p = -(Z @ (vecs[:, ~flat] @ (gz[~flat] / vals[~flat])))
+            alpha = 1.0
+        if np.abs(p).max() <= 1e-9:
+            lam = u[:, :rank] @ ((vt[:rank] @ g) / s[:rank])
             lam_e = lam[:len(enames)]
             lam_g = np.zeros(len(gnames))
             lam_g[active] = lam[len(enames):]
@@ -160,29 +169,12 @@ def solve_qp(model: OptimizationModel, *,
             if stall >= _STALL_LIMIT:
                 bland = True
             continue
-        if not consistent:
-            Z = _null_space(W, n)
-            if Z.shape[1] == 0:
-                raise ModelError("inconsistent KKT system with empty null space")
-            H = Z.T @ Q @ Z
-            gz = Z.T @ g
-            vals, vecs = np.linalg.eigh(H)
-            zero = vals <= 1e-9 * max(1.0, float(vals.max()) if vals.size else 1.0)
-            w = -(vecs[:, zero] @ (vecs[:, zero].T @ gz))
-            if np.abs(w).max() <= 1e-12:
-                raise ModelError("flat subproblem with no descent ray")
-            p = Z @ w
-            p /= np.abs(p).max()
-            alpha_cap = math.inf
-        else:
-            alpha_cap = 1.0
-        gp = G @ p if G.size else np.zeros(len(gnames))
-        resid = G @ x - gb if G.size else np.zeros(len(gnames))
-        alpha = alpha_cap
+        gp = G @ p
+        resid = G @ x - gb
         block = -1
         pinned = set(active)
-        for i in range(len(gnames)):
-            if i in pinned or gp[i] >= -1e-12:
+        for i in np.flatnonzero(gp < -1e-12).tolist():
+            if i in pinned:
                 continue
             step = max(resid[i], 0.0) / -gp[i]
             if step < alpha - 1e-12:
@@ -205,28 +197,19 @@ def solve_qp(model: OptimizationModel, *,
     xmap = {name: float(x[i]) for i, name in enumerate(names)}
     duals = {name: float(lam_e[i]) for i, name in enumerate(enames)}
     duals.update({name: float(lam_g[i]) for i, name in enumerate(gnames)})
-    kkt = kkt_residuals(Q, c, E, eb, G, gb, x, lam_e, lam_g)
-    obj = float(c @ x + x @ Q @ x / 2.0)
+    kkt = kkt_residuals(q, c, E, eb, G, gb, x, lam_e, lam_g)
+    obj = float(c @ x + (q * x) @ x / 2.0)
     return QpResult(status, xmap, obj, duals, kkt, iters)
 
 
-def kkt_residuals(Q, c, E, eb, G, gb, x, lam_e, lam_g) -> dict[str, float]:
-    """Max-norm KKT residuals of a candidate primal/dual pair."""
-    stat = Q @ x + c
-    if E.size:
-        stat = stat - E.T @ lam_e
-    if G.size:
-        stat = stat - G.T @ lam_g
-    primal = 0.0
-    if E.size:
-        primal = max(primal, float(np.abs(E @ x - eb).max()))
-    if G.size:
-        primal = max(primal, float(np.maximum(gb - G @ x, 0.0).max()))
-    dual = float(np.maximum(-lam_g, 0.0).max()) if lam_g.size else 0.0
-    comp = float(np.abs(lam_g * (G @ x - gb)).max()) if G.size else 0.0
+def kkt_residuals(q, c, E, eb, G, gb, x, lam_e, lam_g) -> dict[str, float]:
+    """Max-norm KKT residuals of a candidate primal/dual pair (Q = diag(q))."""
+    stat = q * x + c - E.T @ lam_e - G.T @ lam_g
+    primal = max(0.0, float(np.abs(E @ x - eb).max(initial=0.0)),
+                 float(np.maximum(gb - G @ x, 0.0).max(initial=0.0)))
     return {
-        "stationarity": float(np.abs(stat).max()) if stat.size else 0.0,
+        "stationarity": float(np.abs(stat).max(initial=0.0)),
         "primal": primal,
-        "dual": dual,
-        "complementarity": comp,
+        "dual": float(np.maximum(-lam_g, 0.0).max(initial=0.0)),
+        "complementarity": float(np.abs(lam_g * (G @ x - gb)).max(initial=0.0)),
     }

@@ -88,21 +88,24 @@ def _solve_builtin(model: OptimizationModel, config: SolverConfig,
     if model.quadratic:
         if model.is_integer_program():
             raise ModelError("integral variables with a quadratic objective")
-        best_warm = warm[0] if warm else None
-        r = solve_qp(model, warm=best_warm)
-        return SolveResult(_STATUS[r.status], r.x, r.objective, r.objective,
-                           0.0 if r.status == "optimal" else None,
-                           r.duals, r.kkt, {"iterations": r.iterations})
+        r = solve_qp(model, warm=warm[0] if warm else None,
+                     time_limit=config.time_limit)
+        return _continuous(r, r.kkt)
     if model.is_integer_program():
         r = solve_ilp(model, warm=warm, node_limit=config.node_limit,
                       time_limit=config.time_limit)
         gap = r.gap if r.objective is not None else None
         return SolveResult(_STATUS[r.status], r.x, r.objective, r.best_bound,
                            gap, None, None, {"nodes": r.nodes})
-    r = solve_lp(model)
-    return SolveResult(_STATUS[r.status], r.x, r.objective, r.objective,
-                       0.0 if r.status == "optimal" else None,
-                       r.duals, None, {"iterations": r.iterations})
+    return _continuous(solve_lp(model), None)
+
+
+def _continuous(r, kkt: dict[str, float] | None) -> SolveResult:
+    """An LP or QP result; only a proven optimum bounds the objective."""
+    optimal = r.status == "optimal"
+    return SolveResult(_STATUS[r.status], r.x, r.objective,
+                       r.objective if optimal else None, 0.0 if optimal else None,
+                       r.duals, kkt, {"iterations": r.iterations})
 
 
 def _solve_external(model: OptimizationModel, config: SolverConfig) -> SolveResult:

@@ -182,6 +182,8 @@ def unrestricted_wc_min(inst: OrderedStorylineInstance) -> UnrestrictedWitness:
     gap at fixed levels and threads everyone else between them; exact
     rational arithmetic is scaled to integers at the end.
     """
+    if inst.time_steps == 0:
+        return UnrestrictedWitness(0, (), Coordination({}))
     values: dict[tuple[int, str], Fraction] = {}
     for i, c in enumerate(inst.ordering_at(1)):
         values[(1, c)] = Fraction(i)

@@ -8,12 +8,16 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from storywiggle import pipeline as pipeline_mod
 from storywiggle.cli import main as cli_main
+from storywiggle.generate import generate_instance
+from storywiggle.instance import instance_to_dict
 from storywiggle.oracle import OracleLimitError
 from storywiggle.pipeline import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_MISMATCH,
-                                  EXIT_OK, EXIT_TIME, RunConfig,
+                                  EXIT_OK, EXIT_TIME, OBJECTIVES, RunConfig,
                                   compare_objectives, format_compare_table,
                                   run_pipeline)
 from storywiggle.solver import SolveResult, SolveStatus
@@ -33,9 +37,25 @@ METRIC_KEYS = {"wiggleCount", "linearWiggleHeight", "quadraticWiggleHeight",
                "totalHeight", "objective", "solverStatus", "solveSeconds"}
 
 
+# instances without time steps, and a spacing far beyond float precision
+ZERO_STEPS = {"characters": [{"id": "a", "activeFrom": 1, "activeTo": 1}],
+              "meetings": [], "orderings": []}
+EMPTY = {"characters": [], "meetings": [], "orderings": []}
+HUGE_SPACING = {"characters": [{"id": "a", "activeFrom": 1, "activeTo": 2},
+                               {"id": "b", "activeFrom": 1, "activeTo": 2}],
+                "meetings": [], "orderings": [["a", "b"], ["b", "a"]],
+                "params": {"delta": 1e300, "deltaBar": 1e300}}
+
+
 def run(tmp_path, input_path, **kwargs):
     kwargs.setdefault("metrics_path", str(tmp_path / "metrics.json"))
     return run_pipeline(RunConfig(input_path=input_path, **kwargs))
+
+
+def write_doc(tmp_path, doc) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
 
 
 class TestSuccessRuns:
@@ -75,6 +95,13 @@ class TestSuccessRuns:
         assert r.exit_code == EXIT_OK
         assert r.metrics["objective"] == pytest.approx(1.0)
         assert r.metrics["perGapWiggles"] == [1]
+
+    def test_wc_unrestricted_without_time_steps(self, tmp_path):
+        r = run(tmp_path, write_doc(tmp_path, EMPTY),
+                objective="wc-unrestricted")
+        assert r.exit_code == EXIT_OK
+        assert r.metrics["objective"] == 0.0
+        assert r.metrics["perGapWiggles"] == []
 
     def test_wigglefree(self, tmp_path):
         r = run(tmp_path, CROSSING, objective="wigglefree")
@@ -132,7 +159,8 @@ class TestInputErrors:
 
     def test_bad_delta_override(self, tmp_path):
         for flag, value in [("delta", -1.0), ("delta", math.inf),
-                            ("delta_bar", math.inf), ("r_min", math.inf),
+                            ("delta_bar", math.inf), ("delta", 1e300),
+                            ("delta_bar", 1e300), ("r_min", math.inf),
                             ("r_min", math.nan), ("r_min", 0.0),
                             ("r_min", -1.0)]:
             r = run(tmp_path, CROSSING, svg_path=str(tmp_path / "out.svg"),
@@ -146,6 +174,11 @@ class TestInputErrors:
         bad.write_text(text)
         r = run(tmp_path, str(bad))
         assert r.exit_code == EXIT_INPUT and "finite" in r.message
+
+    def test_activity_beyond_the_last_step(self, tmp_path):
+        r = run(tmp_path, write_doc(tmp_path, ZERO_STEPS), objective="lwh")
+        assert r.exit_code == EXIT_INPUT
+        assert r.message.startswith("activity['a']")
 
     def test_compare_rejects_fractional_spacing(self, tmp_path):
         r = run(tmp_path, CROSSING, compare=True, delta=0.5)
@@ -192,6 +225,16 @@ class TestSolverOutcomes:
         assert r.metrics["bestBound"] is None and r.metrics["gap"] is None
         assert svg_path.exists()
 
+
+    def test_qwh_time_limit_keeps_the_iterate(self, tmp_path):
+        # the QP stops at its feasible warm start, a full nice layout
+        paths = {"svg_path": str(tmp_path / "out.svg"),
+                 "routing_report_path": str(tmp_path / "routing.json")}
+        r = run(tmp_path, DEMO, objective="qwh", time_limit=0.0, **paths)
+        assert r.exit_code == EXIT_TIME
+        assert r.metrics["solverStatus"] == "time_limit"
+        assert "bestBound" not in r.metrics and "gap" not in r.metrics
+        assert all(Path(p).exists() for p in paths.values())
 
     def test_iteration_limit_with_layout_exits_four(self, tmp_path,
                                                     monkeypatch):
@@ -346,3 +389,58 @@ class TestCli:
                          "--oracle"])
         assert code == 1
         assert "oracle" in capsys.readouterr().err
+
+
+SPACINGS = (1.0, 2.0, 0.5, 1.5)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5)
+
+
+@st.composite
+def documents(draw):
+    """A generated instance of at most 4x4, or a damaged copy of one."""
+    inst, params = generate_instance(
+        draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**16)),
+        meeting_prob=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        delta=draw(st.sampled_from(SPACINGS)),
+        delta_bar=draw(st.sampled_from(SPACINGS)))
+    doc = instance_to_dict(inst, params)
+    if draw(st.booleans()):
+        return doc
+    # walk into the document, then drop or overwrite one entry
+    node = doc
+    while node:
+        key = draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        if isinstance(node[key], (dict, list)) and draw(st.booleans()):
+            node = node[key]
+            continue
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(JSON_VALUES)
+        break
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=documents() | st.text(max_size=12))
+@example(doc=ZERO_STEPS)
+@example(doc=EMPTY)
+@example(doc=HUGE_SPACING)
+def test_no_input_ends_in_a_traceback(tmp_path_factory, doc):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = write_doc(tmp, doc)
+    outputs = {"svg_path": str(tmp / "out.svg"),
+               "metrics_path": str(tmp / "metrics.json"),
+               "routing_report_path": str(tmp / "routing.json")}
+    for objective in OBJECTIVES:
+        r = run_pipeline(RunConfig(path, objective, time_limit=1.0, **outputs))
+        assert r.exit_code in range(5), (objective, r.message)
+    r = run_pipeline(RunConfig(path, compare=True, time_limit=1.0))
+    assert r.exit_code in range(5), ("compare", r.message)

@@ -94,6 +94,30 @@ class TestHandCases:
         model = qp([Variable("x")], [], {"x": -1.0}, {})
         assert solve_qp(model).status == "unbounded"
 
+    def test_flat_ray_stops_at_a_bound(self):
+        # -x has no curvature, so once y sits at its vertex the step is a
+        # ray along x that only the upper bound stops
+        model = qp([Variable("x", 0.0, 3.0), Variable("y", -5.0, 5.0)], [],
+                   {"x": -1.0, "y": -2.0}, {"y": 1.0})
+        r = solve_qp(model)
+        assert r.status == "optimal"
+        assert r.x["x"] == pytest.approx(3.0)
+        assert r.x["y"] == pytest.approx(1.0)
+        assert r.objective == pytest.approx(-4.0)
+        assert r.duals["_ub_x"] == pytest.approx(1.0)
+        assert_kkt_clean(r)
+
+    def test_time_limit_returns_the_feasible_iterate(self):
+        model = qp(
+            [Variable("x", 0.0, 10.0), Variable("y", 0.0, 10.0)],
+            [LinearConstraint("r", (("x", 1.0), ("y", 2.0)), GE, 4.0)],
+            {"x": 1.0}, {"x": 1.0, "y": 1.0})
+        assert solve_qp(model).iterations >= 1
+        r = solve_qp(model, time_limit=0.0)
+        assert r.status == "time_limit"
+        assert model_violations(model, r.x, tol=1e-9) == []
+        assert r.kkt is not None and r.kkt["primal"] <= 1e-9
+
     def test_iteration_limit(self):
         model = qp([Variable("x", 0.0, 10.0)], [], {"x": -6.0}, {"x": 1.0})
         r = solve_qp(model, maxiter=0)
@@ -163,7 +187,8 @@ def test_constrained_beats_random_feasible_points(seed):
         rows.append(LinearConstraint(f"r{j}", coeffs, (GE, LE)[j % 2],
                                      float(rng.randint(-3, 3))))
     objective = {f"x{i}": float(rng.randint(-4, 4)) for i in range(n)}
-    quadratic = {f"x{i}": float(rng.randint(1, 3)) for i in range(n)}
+    # zero weights leave flat directions, which only the boxes stop
+    quadratic = {f"x{i}": float(rng.randint(0, 3)) for i in range(n)}
     model = qp(variables, rows, objective, quadratic)
     r = solve_qp(model)
     if r.status == "infeasible":
