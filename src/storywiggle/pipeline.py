@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .instance import (Coordination, LayoutMetrics,
                        NicenessParams, OrderedStorylineInstance,
@@ -89,7 +89,7 @@ def _solve_objective(inst: OrderedStorylineInstance, params: NicenessParams,
         r = max_wiggle_free_set(inst, params, solver_config)
         extras["wiggleFreeSize"] = r.size
         extras["wiggleFreeSubset"] = list(r.subset)
-        return SolveStatus.OPTIMAL, r.coordination, float(r.size), extras
+        return r.status, r.coordination, float(r.size), extras
     if objective == "wc-unrestricted":
         w = unrestricted_wc_min(inst)
         extras["perGapWiggles"] = list(w.per_gap)
@@ -192,7 +192,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     r_min = config.r_min if config.r_min is not None else params.delta / 2.0
     try:
-        plan = route_all_gaps(inst, coord, r_min=r_min, config=solver_config)
+        # the limit bounds the layout solve; a layout in hand gets routed
+        plan = route_all_gaps(inst, coord, r_min=r_min,
+                              config=replace(solver_config, time_limit=None))
     except ModelError as e:
         return PipelineResult(EXIT_INPUT, message=str(e))
     layout = compute_metrics(inst, coord)

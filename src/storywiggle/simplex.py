@@ -48,6 +48,7 @@ and bound then reported 7 of its 13 benchmark `wc` optima too high.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
+TIME_LIMIT = "time_limit"
 
 _STALL_LIMIT = 60
 _SPARSE_MIN_CELLS = 20_000
@@ -162,8 +164,13 @@ def _pivot(T, Tb, basis, in_basis, at_upper, rr, j, sparse):
     return nz_cols
 
 
-def _run(T, Tb, basis, in_basis, at_upper, upper, c, allow, maxiter):
-    """Pivot until optimal, unbounded, or out of iterations."""
+def _run(T, Tb, basis, in_basis, at_upper, upper, c, allow, maxiter,
+         deadline=None):
+    """Pivot until optimal, unbounded, out of iterations or past `deadline`.
+
+    The deadline is checked before every pivot but the first, so each
+    call makes at least one pivot of progress.
+    """
     m, n = T.shape
     ctol = 1e-9 * (1.0 + (np.abs(c).max() if n else 0.0))
     ptol = 1e-9
@@ -185,6 +192,8 @@ def _run(T, Tb, basis, in_basis, at_upper, upper, c, allow, maxiter):
         idx = np.flatnonzero(cand)
         if idx.size == 0:
             return OPTIMAL, iters
+        if iters > 1 and deadline is not None and time.perf_counter() >= deadline:
+            return TIME_LIMIT, iters
         if bland:
             j = idx[0]
         else:
@@ -231,13 +240,18 @@ def _run(T, Tb, basis, in_basis, at_upper, upper, c, allow, maxiter):
 
 
 def solve_lp(model: OptimizationModel | CompiledModel, *,
-             maxiter: int = 50000, keep_tableau: bool = False) -> SimplexResult:
+             maxiter: int = 50000, keep_tableau: bool = False,
+             time_limit: float | None = None) -> SimplexResult:
     """Solve the linear relaxation of `model` (integrality is ignored).
 
     Models with a nonzero quadratic weight are rejected; zero it first if
     a feasible vertex is all that is needed.  With `keep_tableau`, an
     optimal result carries its final tableau for `Tableau.resolve`.
+    Once `time_limit` (seconds) has run out, either phase stops before
+    its next pivot with `time_limit`; a phase that needs one pivot still
+    takes it, so a small feasibility probe finishes under any budget.
     """
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
     cm = compile_model(model)
     if any(cm.quad):
         raise ModelError("quadratic objective passed to the LP solver")
@@ -255,9 +269,10 @@ def solve_lp(model: OptimizationModel | CompiledModel, *,
     allow[:nreal] = upper[:nreal] > 0
 
     c1 = np.concatenate([np.zeros(nreal), np.ones(m)])
-    status, it1 = _run(T, Tb, basis, in_basis, at_upper, upper, c1, allow, maxiter)
-    if status == ITERATION_LIMIT:
-        return SimplexResult(ITERATION_LIMIT, None, None, None, it1)
+    status, it1 = _run(T, Tb, basis, in_basis, at_upper, upper, c1, allow,
+                       maxiter, deadline)
+    if status in (ITERATION_LIMIT, TIME_LIMIT):
+        return SimplexResult(status, None, None, None, it1)
     xB = _basic_values(T, Tb, at_upper, upper)
     art_sum = float(xB[basis >= nreal].sum()) if m else 0.0
     if art_sum > 1e-7 * (1.0 + (abs(b).max() if m else 0.0)):
@@ -265,7 +280,8 @@ def solve_lp(model: OptimizationModel | CompiledModel, *,
     upper[nreal:] = 0.0
 
     c2 = np.concatenate([c, np.zeros(m)])
-    status, it2 = _run(T, Tb, basis, in_basis, at_upper, upper, c2, allow, maxiter)
+    status, it2 = _run(T, Tb, basis, in_basis, at_upper, upper, c2, allow,
+                       maxiter, deadline)
     iters = it1 + it2
     if status != OPTIMAL:
         return SimplexResult(status, None, None, None, iters)

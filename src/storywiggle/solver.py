@@ -90,22 +90,24 @@ def _solve_builtin(model: OptimizationModel, config: SolverConfig,
             raise ModelError("integral variables with a quadratic objective")
         r = solve_qp(model, warm=warm[0] if warm else None,
                      time_limit=config.time_limit)
-        return _continuous(r, r.kkt)
+        return _continuous(r, r.kkt, newton_steps=r.newton_steps,
+                           ray_steps=r.ray_steps, zero_steps=r.zero_steps,
+                           null_dim=r.null_dim)
     if model.is_integer_program():
         r = solve_ilp(model, warm=warm, node_limit=config.node_limit,
                       time_limit=config.time_limit)
         gap = r.gap if r.objective is not None else None
         return SolveResult(_STATUS[r.status], r.x, r.objective, r.best_bound,
                            gap, None, None, {"nodes": r.nodes})
-    return _continuous(solve_lp(model), None)
+    return _continuous(solve_lp(model, time_limit=config.time_limit), None)
 
 
-def _continuous(r, kkt: dict[str, float] | None) -> SolveResult:
+def _continuous(r, kkt: dict[str, float] | None, **counters: int) -> SolveResult:
     """An LP or QP result; only a proven optimum bounds the objective."""
     optimal = r.status == "optimal"
     return SolveResult(_STATUS[r.status], r.x, r.objective,
                        r.objective if optimal else None, 0.0 if optimal else None,
-                       r.duals, kkt, {"iterations": r.iterations})
+                       r.duals, kkt, {"iterations": r.iterations, **counters})
 
 
 def _solve_external(model: OptimizationModel, config: SolverConfig) -> SolveResult:

@@ -28,7 +28,8 @@ from .solver import SolveStatus, SolverConfig, solve_model
 class WiggleFreeResult:
     subset: tuple[str, ...]
     size: int
-    coordination: Coordination
+    coordination: Coordination | None
+    status: SolveStatus = SolveStatus.OPTIMAL
 
 
 @dataclass
@@ -94,6 +95,8 @@ def max_wiggle_free_set(inst: OrderedStorylineInstance, params: NicenessParams,
     Longest path in the compatibility DAG over always-active characters
     (nodes in first-step order, ties resolved toward lower positions),
     then a least-movement layout with the chosen characters pinned flat.
+    When a solver limit stops that layout's LP, the result keeps the set
+    and the limit's status but has no coordination.
     """
     full = always_active(inst)
     spans = compute_span_tables(inst, params)
@@ -126,6 +129,8 @@ def max_wiggle_free_set(inst: OrderedStorylineInstance, params: NicenessParams,
             model.constraints.append(
                 LinearConstraint(f"flat_{ya}", ((ya, 1.0), (yb, -1.0)), EQ, 0.0))
     result = solve_model(model, config)
+    if result.status in (SolveStatus.TIME_LIMIT, SolveStatus.ITERATION_LIMIT):
+        return WiggleFreeResult(subset, len(subset), None, result.status)
     if result.status is not SolveStatus.OPTIMAL:
         raise RuntimeError(
             f"flat layout solve ended {result.status.value}; "

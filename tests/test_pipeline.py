@@ -236,6 +236,14 @@ class TestSolverOutcomes:
         assert "bestBound" not in r.metrics and "gap" not in r.metrics
         assert all(Path(p).exists() for p in paths.values())
 
+    @pytest.mark.parametrize("objective", ["lwh", "wigglefree"])
+    def test_simplex_time_limit_exits_four(self, tmp_path, objective):
+        # the simplex stops before its second pivot, with no layout yet
+        r = run(tmp_path, DEMO, objective=objective, time_limit=1e-6)
+        assert r.exit_code == EXIT_TIME
+        assert r.metrics["solverStatus"] == "time_limit"
+        assert r.svg is None
+
     def test_iteration_limit_with_layout_exits_four(self, tmp_path,
                                                     monkeypatch):
         real = pipeline_mod.solve_model

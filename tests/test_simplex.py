@@ -136,6 +136,32 @@ class TestHandCases:
         assert r.x["y"] == pytest.approx(3.0)
 
 
+class TestTimeLimit:
+    def test_zero_budget_stops_before_the_second_pivot(self):
+        # each row starts on an artificial that phase 1 must pivot out
+        model = lp([Variable(f"x{i}", 0.0, 5.0) for i in range(3)],
+                   [LinearConstraint(f"r{i}", ((f"x{i}", 1.0),
+                                               (f"x{(i + 1) % 3}", 1.0)),
+                                     GE, 2.0) for i in range(3)],
+                   {f"x{i}": 1.0 for i in range(3)})
+        assert simplex.solve_lp(model).iterations > 2
+        r = simplex.solve_lp(model, time_limit=0.0)
+        assert r.status == "time_limit"
+        assert r.x is None and r.objective is None
+
+    def test_a_one_pivot_phase_finishes_under_any_budget(self):
+        model = lp([Variable("x", 0.0, 5.0)],
+                   [LinearConstraint("r", (("x", 1.0),), GE, 2.0)], {"x": 1.0})
+        r = simplex.solve_lp(model, time_limit=0.0)
+        assert r.status == "optimal"
+        assert r.x["x"] == pytest.approx(2.0)
+
+    def test_a_generous_budget_changes_nothing(self):
+        inst, params = generate_instance(10, 10, seed=7, meeting_prob=0.5)
+        model, _ = build_lwh_program(inst, params)
+        assert simplex.solve_lp(model, time_limit=60.0) == simplex.solve_lp(model)
+
+
 class TestTableau:
     def box(self):
         # min -x - 2y  s.t.  x + y <= 3,  0 <= x, y <= 2: optimum x=1, y=2
@@ -262,3 +288,31 @@ def test_ladder_relaxations_agree_on_both_paths(shape, build):
     inst, params = generate_instance(*shape, seed=7, meeting_prob=0.5)
     model, _ = build(inst, params)
     assert solve_lp(model).status == "optimal"
+
+
+def test_matches_highs_on_lwh_models():
+    optimize = pytest.importorskip("scipy.optimize")
+    np = pytest.importorskip("numpy")
+    cases = [(4, 4, 1), (4, 5, 2), (4, 6, 3), (5, 4, 4), (5, 5, 5),
+             (5, 6, 6), (6, 4, 7), (6, 5, 8), (6, 6, 9), (5, 5, 10),
+             (10, 10, 7)]
+    for n, steps, seed in cases:
+        inst, params = generate_instance(n, steps, seed=seed, meeting_prob=0.5)
+        cm = compile_model(build_lwh_program(inst, params)[0])
+        rows = {EQ: ([], []), LE: ([], [])}
+        for i, row in enumerate(cm.constraints):
+            a = np.zeros(len(cm.variables))
+            for j, coef in cm.terms(i):
+                a[j] += coef
+            sign = -1.0 if row.sense == GE else 1.0
+            rows[EQ if row.sense == EQ else LE][0].append(sign * a)
+            rows[EQ if row.sense == EQ else LE][1].append(sign * row.rhs)
+        (a_eq, b_eq), (a_ub, b_ub) = rows[EQ], rows[LE]
+        ref = optimize.linprog(cm.cost, A_ub=a_ub or None, b_ub=b_ub or None,
+                               A_eq=a_eq or None, b_eq=b_eq or None,
+                               bounds=list(zip(cm.lower, cm.upper)),
+                               method="highs")
+        assert ref.status == 0, (n, steps, seed)
+        r = simplex.solve_lp(cm)
+        assert r.status == "optimal"
+        assert r.objective == pytest.approx(ref.fun, abs=1e-6), (n, steps, seed)

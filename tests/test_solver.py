@@ -60,6 +60,9 @@ class TestDispatch:
         assert r.objective == pytest.approx(-9.0)
         assert r.kkt is not None
         assert max(r.kkt.values()) < 1e-7
+        steps = ("newton_steps", "ray_steps", "zero_steps")
+        assert sum(r.stats[k] for k in steps) == r.stats["iterations"] > 0
+        assert r.stats["null_dim"] == 1
 
     def test_integral_quadratic_rejected(self):
         model = OptimizationModel(
