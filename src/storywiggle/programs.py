@@ -14,8 +14,9 @@ All three bound y-variables by the safe box derived from the spacing
 parameters, so every model is bounded.
 
 `compile_model` validates a model and resolves its names, once; the
-simplex, QP and branch-and-bound solvers read the `CompiledModel`: row
-terms by column index, and per-column bounds, costs and quad weights.
+simplex, network simplex, QP and branch-and-bound solvers read the
+`CompiledModel`: row terms by column index, and per-column bounds, costs
+and quad weights.
 """
 
 from __future__ import annotations

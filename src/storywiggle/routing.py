@@ -303,7 +303,8 @@ def classify_pairs(inst: OrderedStorylineInstance, coord: Coordination,
     Pairs are keyed lower/upper by the step-t level.  Crossing pairs and
     pairs whose y-ranges stay apart need no separation row.  The side
     tells which arcs carry the constraint: the end where the pair is
-    closer (ties go left).
+    closer, where ends within `zero_tol` of each other tie and go left,
+    so rounding in the layout cannot pick the side.
     """
     shared = inst.shared_at_gap(t)
     movers = []
@@ -325,11 +326,11 @@ def classify_pairs(inst: OrderedStorylineInstance, coord: Coordination,
                 continue
             if min(hi0, hi1) - max(lo0, lo1) > zero_tol:
                 continue
-            rising = cy1 > cy0
-            if rising:
-                side = UP_LEFT if sep_start <= sep_end else UP_RIGHT
+            left = sep_start <= sep_end + zero_tol
+            if cy1 > cy0:
+                side = UP_LEFT if left else UP_RIGHT
             else:
-                side = DOWN_LEFT if sep_start <= sep_end else DOWN_RIGHT
+                side = DOWN_LEFT if left else DOWN_RIGHT
             pairs.append(RoutedPair(lo, hi, side, sep_start, sep_end))
     return pairs
 
@@ -378,7 +379,11 @@ def route_gap(inst: OrderedStorylineInstance, coord: Coordination, t: int, *,
 
     Infeasible separation systems shed their most distant pairs first
     until the remainder fits; the shed pairs come back in `dropped`.
+    A gap where nothing wiggles needs no LP: both would find X = 0.
     """
+    if all(abs(coord.y(t + 1, c) - coord.y(t, c)) <= _ZERO_TOL
+           for c in inst.shared_at_gap(t)):
+        return GapRouting(t, 0.0, {}, (), (), ())
     pairs = classify_pairs(inst, coord, t)
     keep = sorted(pairs, key=lambda p: (min(p.sep_start, p.sep_end),
                                         p.lower, p.upper))

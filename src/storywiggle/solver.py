@@ -1,9 +1,10 @@
 """One entry point for all model solves, built-in or external.
 
-`solve_model` inspects the model (quadratic? integral?) and dispatches
-to the matching built-in solver.  The `external:<command>` backend
-instead round-trips through the LP file format: the command is invoked
-as `<command> in.lp out.sol` and must write a solution file of the shape
+`solve_model` inspects the model (quadratic? integral? rows all
+differences?) and dispatches to the matching built-in solver.  The
+`external:<command>` backend instead round-trips through the LP file
+format: the command is invoked as `<command> in.lp out.sol` and must
+write a solution file of the shape
 
     status optimal
     objective 12.5
@@ -28,7 +29,8 @@ from enum import Enum
 
 from .branch_bound import solve_ilp
 from .lp_format import write_lp
-from .programs import ModelError, OptimizationModel
+from .network import difference_form, solve_network
+from .programs import ModelError, OptimizationModel, compile_model
 from .qp import solve_qp
 from .simplex import solve_lp
 
@@ -99,7 +101,12 @@ def _solve_builtin(model: OptimizationModel, config: SolverConfig,
         gap = r.gap if r.objective is not None else None
         return SolveResult(_STATUS[r.status], r.x, r.objective, r.best_bound,
                            gap, None, None, {"nodes": r.nodes})
-    return _continuous(solve_lp(model, time_limit=config.time_limit), None)
+    cm = compile_model(model)
+    form = difference_form(cm)
+    if form is not None:
+        r = solve_network(cm, form, time_limit=config.time_limit)
+        return _continuous(r, None, degenerate_pivots=r.degenerate_pivots)
+    return _continuous(solve_lp(cm, time_limit=config.time_limit), None)
 
 
 def _continuous(r, kkt: dict[str, float] | None, **counters: int) -> SolveResult:

@@ -13,7 +13,8 @@ from storywiggle.generate import generate_instance
 from storywiggle.instance import Coordination, parse_instance
 from storywiggle.oracle import oracle_optimum
 from storywiggle.programs import ModelError
-from storywiggle.routing import (DOWN_LEFT, UP_LEFT, UP_RIGHT, arc_pair,
+from storywiggle.routing import (DOWN_LEFT, UP_LEFT, UP_RIGHT, GapRouting,
+                                 arc_pair,
                                  arc_tangent_angle, classify_pairs, gap_paths,
                                  is_monotone, path_y_at,
                                  radial_distance_profile, route_all_gaps,
@@ -131,6 +132,13 @@ class TestClassifyPairs:
         assert p.side == UP_RIGHT                  # end gap 1 vs start gap 2
         assert (p.sep_start, p.sep_end) == (2.0, 1.0)
 
+    def test_rounding_tie_goes_left(self):
+        inst, coord = two_step({"a": 0.0, "b": 1.0},
+                               {"a": 2.0, "b": 3.0 - 1e-15})
+        (p,) = classify_pairs(inst, coord, 1)
+        assert p.sep_end < p.sep_start
+        assert p.side == UP_LEFT
+
     def test_falling_pair(self):
         inst, coord = two_step({"a": 4, "b": 5}, {"a": 0, "b": 2})
         (p,) = classify_pairs(inst, coord, 1)
@@ -194,6 +202,15 @@ class TestRouteGap:
         inst, coord = two_step({"a": 0}, {"a": 1})
         with pytest.raises(ModelError, match="no separation rows"):
             route_gap(inst, coord, 1, r_min=0.5)
+
+    def test_gap_without_movers_solves_nothing(self, monkeypatch):
+        def unused(model, config=None, **kw):
+            raise AssertionError("no LP is needed")
+
+        monkeypatch.setattr(routing_mod, "solve_model", unused)
+        inst, coord = two_step({"a": 0, "b": 3}, {"a": 0, "b": 3})
+        assert route_gap(inst, coord, 1, r_min=0.5) == GapRouting(
+            1, 0.0, {}, (), (), ())
 
     def test_gap_paths_pad_and_flats(self):
         inst, coord = two_step({"a": 0, "b": 3}, {"a": 1, "b": 3})

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import lp_vertex_optimum
 from storywiggle import simplex
 from storywiggle.generate import generate_instance
+from storywiggle.network import difference_form, solve_network
 from storywiggle.programs import (EQ, GE, LE, LinearConstraint, ModelError,
                                   OptimizationModel, Variable,
                                   build_lwh_program, build_wc_program,
@@ -295,7 +296,7 @@ def test_matches_highs_on_lwh_models():
     np = pytest.importorskip("numpy")
     cases = [(4, 4, 1), (4, 5, 2), (4, 6, 3), (5, 4, 4), (5, 5, 5),
              (5, 6, 6), (6, 4, 7), (6, 5, 8), (6, 6, 9), (5, 5, 10),
-             (10, 10, 7)]
+             (10, 10, 7), (25, 30, 7)]
     for n, steps, seed in cases:
         inst, params = generate_instance(n, steps, seed=seed, meeting_prob=0.5)
         cm = compile_model(build_lwh_program(inst, params)[0])
@@ -313,6 +314,6 @@ def test_matches_highs_on_lwh_models():
                                bounds=list(zip(cm.lower, cm.upper)),
                                method="highs")
         assert ref.status == 0, (n, steps, seed)
-        r = simplex.solve_lp(cm)
-        assert r.status == "optimal"
-        assert r.objective == pytest.approx(ref.fun, abs=1e-6), (n, steps, seed)
+        for r in (simplex.solve_lp(cm), solve_network(cm, difference_form(cm))):
+            assert r.status == "optimal"
+            assert r.objective == pytest.approx(ref.fun, abs=1e-6), (n, steps, seed)

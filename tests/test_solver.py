@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import storywiggle
+from storywiggle.generate import generate_instance
 from storywiggle.lpsolve import main as lpsolve_main
 from storywiggle.programs import (GE, LE, LinearConstraint, ModelError,
-                                  OptimizationModel, Variable)
+                                  OptimizationModel, Variable,
+                                  build_lwh_program)
 from storywiggle.solver import (SolveResult, SolveStatus, SolverConfig,
                                 default_backend, solve_model, write_solution)
 
@@ -47,6 +49,14 @@ class TestDispatch:
         assert r.duals is not None and r.kkt is None
         assert r.gap == 0.0 and r.best_bound == pytest.approx(6.0)
         assert r.stats["solve_seconds"] >= 0.0
+
+    def test_network_path(self):
+        # an lwh model is all difference rows: the network simplex takes it
+        inst, params = generate_instance(10, 10, seed=7, meeting_prob=0.5)
+        r = solve_model(build_lwh_program(inst, params)[0])
+        assert r.status is SolveStatus.OPTIMAL and r.objective == 30.0
+        assert r.duals is None and r.gap == 0.0
+        assert 0 < r.stats["degenerate_pivots"] < r.stats["iterations"]
 
     def test_ilp_path(self):
         r = solve_model(ilp_model())
