@@ -66,19 +66,15 @@ def solve_ilp(model: OptimizationModel, *,
     """Minimize `model` with its integrality constraints enforced.
 
     `warm` holds candidate assignments; feasible integral ones seed the
-    incumbent.
+    incumbent.  `time_limit` bounds the whole search: the root LP and
+    each cold node solve get the time left, and the search ends with
+    `time_limit` as soon as one of them stops.
     """
     cm = compile_model(model)
     if any(cm.quad):
         raise ModelError("quadratic objective passed to the integer solver")
     ints = [(j, v.name) for j, v in enumerate(cm.variables) if v.integral]
     int_names = [name for _, name in ints]
-    if not ints:
-        lp = solve_lp(cm)
-        status = {OPTIMAL: OPTIMAL, INFEASIBLE: INFEASIBLE,
-                  UNBOUNDED: UNBOUNDED}.get(lp.status, ITERATION_LIMIT)
-        bound = lp.objective if lp.objective is not None else -math.inf
-        return BnbResult(status, lp.x, lp.objective, bound, 1)
 
     inc_x: dict[str, float] | None = None
     inc_obj = math.inf
@@ -112,19 +108,21 @@ def solve_ilp(model: OptimizationModel, *,
         if parent_bound >= inc_obj - 1e-9:
             continue
         nodes += 1
+        left = None if deadline is None else max(0.0, deadline - time.monotonic())
         if live is None:                  # the root
-            lp = solve_lp(cm, keep_tableau=True)
+            lp = solve_lp(cm, keep_tableau=True, time_limit=left)
             live = lp.tableau
         else:
             lp = (live.resolve(lower, upper)
-                  or solve_lp(replace(cm, lower=lower, upper=upper)))
+                  or solve_lp(replace(cm, lower=lower, upper=upper),
+                              time_limit=left))
         if lp.status == INFEASIBLE:
             continue
         if lp.status == UNBOUNDED:
             return BnbResult(UNBOUNDED, inc_x, inc_obj if inc_x else None,
                              -math.inf, nodes)
-        if lp.status == ITERATION_LIMIT:
-            status = ITERATION_LIMIT
+        if lp.status in (ITERATION_LIMIT, TIME_LIMIT):
+            status = lp.status
             stack.append((lower, upper, parent_bound))
             break
         assert lp.x is not None and lp.objective is not None

@@ -226,11 +226,10 @@ def _new_model_with_y(inst: OrderedStorylineInstance, params: NicenessParams,
     model = OptimizationModel(kind)
     index = VariableIndex(inst, params, kind)
     char_idx = {c: k for k, c in enumerate(inst.characters)}
-    integral = kind == "wc"
     for t in range(1, inst.time_steps + 1):
         for c in inst.active_at(t):
             name = index.add_y(t, c, char_idx[c])
-            model.variables.append(Variable(name, 0.0, y_upper, integral))
+            model.variables.append(Variable(name, 0.0, y_upper))
     return model, index
 
 
@@ -285,11 +284,14 @@ def build_wc_program(inst: OrderedStorylineInstance,
                      params: NicenessParams) -> tuple[OptimizationModel, VariableIndex]:
     """ILP minimizing the number of moving characters, height as tiebreak.
 
-    Requires integral spacing parameters.  Integral y-variables live in
+    Requires integral spacing parameters.  The y-variables live in
     [0, Y-1] with Y the safe box bound; each gap indicator is forced to 1
     by a big-Y pair whenever the character moves.  The objective adds
     h/Y with h an upper bound on all y, so the floor of the optimum is
-    the minimum wiggle count.
+    the minimum wiggle count.  Only the indicators are integral: once
+    they are fixed, every row is a difference of two variables with an
+    integral right-hand side, which is totally unimodular, so y and h
+    are integral at every vertex.
     """
     if not params.is_integral:
         raise ModelError(
@@ -324,21 +326,19 @@ def build_wc_program(inst: OrderedStorylineInstance,
     return model, index
 
 
-def extract_coordination(index: VariableIndex, assignment: Mapping[str, float],
-                         check_nice: bool = True, tol: float = 1e-6) -> Coordination:
+def extract_coordination(index: VariableIndex,
+                         assignment: Mapping[str, float]) -> Coordination:
     """Read y-variables back into a coordination, verifying niceness."""
     coord = index.coordination_from(assignment)
-    if check_nice:
-        report = is_nice(index.inst, coord, index.params, tol)
-        if not report.ok:
-            raise ExtractionError(
-                "solution is not a nice coordination: " + "; ".join(report.violations))
+    report = is_nice(index.inst, coord, index.params)
+    if not report.ok:
+        raise ExtractionError(
+            "solution is not a nice coordination: " + "; ".join(report.violations))
     return coord
 
 
 def assignment_from_coordination(model: OptimizationModel, index: VariableIndex,
-                                 coord: Coordination,
-                                 zero_tol: float = 1e-9) -> dict[str, float]:
+                                 coord: Coordination) -> dict[str, float]:
     """Complete a coordination into a full model assignment (for warm starts)."""
     assignment: dict[str, float] = {}
     for (t, c), name in index.y.items():
@@ -350,7 +350,7 @@ def assignment_from_coordination(model: OptimizationModel, index: VariableIndex,
         elif index.kind == "qwh":
             assignment[name] = d
         else:
-            assignment[name] = 1.0 if abs(d) > zero_tol else 0.0
+            assignment[name] = 1.0 if abs(d) > 1e-9 else 0.0
     if index.h is not None:
         assignment[index.h] = max(
             (assignment[name] for name in index.y.values()), default=0.0)

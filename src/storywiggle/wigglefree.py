@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .instance import (Coordination, NicenessParams, OrderedStorylineInstance,
-                       neighbor_sets)
+                       stack_offsets)
 from .programs import LinearConstraint, EQ, build_lwh_program, extract_coordination
 from .solver import SolveStatus, SolverConfig, solve_model
 
@@ -54,36 +53,26 @@ def compute_span_tables(inst: OrderedStorylineInstance, params: NicenessParams,
 
     Maps (lower, upper) character pairs to the intersection over steps
     of the distance intervals their niceness chains admit; pairs that
-    swap sides somewhere are absent.  An empty intersection is kept as
-    an inverted interval so callers can see why a pair failed.
+    swap sides somewhere are absent.  At each step the least distance is
+    the pair's distance in the minimal stack, and a pair in one meeting
+    (meetings are consecutive) is pinned to it.  An empty intersection
+    is kept as an inverted interval so callers can see why a pair failed.
     """
     full = always_active(inst)
+    steps = [(stack_offsets(inst, params, t),
+              {c: m for m in inst.meetings_at(t) for c in m.members})
+             for t in range(1, inst.time_steps + 1)]
     spans: dict[tuple[str, str], tuple[float, float]] = {}
-    if not full:
-        return spans
-    prefix_meet: list[list[int]] = []
-    for t in range(1, inst.time_steps + 1):
-        order = inst.ordering_at(t)
-        meeting_pairs = set(neighbor_sets(inst, t).meeting_pairs)
-        pre = [0]
-        for i in range(len(order) - 1):
-            pre.append(pre[-1] + ((order[i], order[i + 1]) in meeting_pairs))
-        prefix_meet.append(pre)
     for ai, a in enumerate(full):
         for b in full[ai + 1:]:
-            consistent = True
             lo, hi = 0.0, math.inf
-            for t in range(1, inst.time_steps + 1):
-                pa, pb = inst.position(t, a), inst.position(t, b)
-                if pa > pb:
-                    consistent = False
+            for t, (off, meeting) in enumerate(steps, 1):
+                if inst.position(t, a) > inst.position(t, b):
                     break
-                d = pb - pa
-                c = prefix_meet[t - 1][pb] - prefix_meet[t - 1][pa]
-                lo = max(lo, c * params.delta + (d - c) * params.delta_bar)
-                if c == d:
-                    hi = min(hi, d * params.delta)
-            if consistent:
+                lo = max(lo, off[b] - off[a])
+                if a in meeting and meeting[a] is meeting.get(b):
+                    hi = min(hi, off[b] - off[a])
+            else:
                 spans[(a, b)] = (lo, hi)
     return spans
 
@@ -139,21 +128,6 @@ def max_wiggle_free_set(inst: OrderedStorylineInstance, params: NicenessParams,
     return WiggleFreeResult(subset, len(subset), coord)
 
 
-def two_step_wc_min(inst: OrderedStorylineInstance, params: NicenessParams,
-                    config: SolverConfig | None = None) -> int:
-    """Exact minimal wiggle count for a two-step instance, nice layouts.
-
-    Characters absent from either step never cross the gap, so the
-    answer is how many shared characters cannot be kept flat together.
-    """
-    if inst.time_steps != 2:
-        raise ValueError("closed form needs exactly two time steps")
-    shared = [c for c in inst.characters if inst.activity[c] == (1, 2)]
-    if not shared:
-        return 0
-    return len(shared) - max_wiggle_free_set(inst, params, config).size
-
-
 def _lcs(a: list[str], b: list[str]) -> list[str]:
     """One longest common subsequence, deterministic reconstruction."""
     n, m = len(a), len(b)
@@ -184,46 +158,43 @@ def unrestricted_wc_min(inst: OrderedStorylineInstance) -> UnrestrictedWitness:
     Per gap the flat characters must appear in the same relative order
     on both sides, so each gap independently costs the shared characters
     beyond a longest common subsequence.  The witness keeps one LCS per
-    gap at fixed levels and threads everyone else between them; exact
-    rational arithmetic is scaled to integers at the end.
+    gap flat: a kept (t + 1, c) shares the node of (t, c), and each
+    step's ordering adds unit arcs upward between neighbours.  The graph
+    is acyclic, because the kept nodes of step t + 1 rise in both steps'
+    orders, so the new nodes fit between them.  Each node takes its
+    least integer level, its longest path from a source, in Kahn's order;
+    no level exceeds the number of active (t, c) pairs.
     """
-    if inst.time_steps == 0:
-        return UnrestrictedWitness(0, (), Coordination({}))
-    values: dict[tuple[int, str], Fraction] = {}
-    for i, c in enumerate(inst.ordering_at(1)):
-        values[(1, c)] = Fraction(i)
+    node: dict[tuple[int, str], tuple[int, str]] = {}
+    succ: dict[tuple[int, str], list[tuple[int, str]]] = {}
     per_gap: list[int] = []
-    for t in inst.gaps():
-        prev_order = inst.ordering_at(t)
-        next_order = inst.ordering_at(t + 1)
-        prev_set = set(prev_order)
-        shared_next = [c for c in next_order if c in prev_set]
-        shared_set = set(shared_next)
-        shared_prev = [c for c in prev_order if c in shared_set]
-        keep = set(_lcs(shared_prev, shared_next))
-        per_gap.append(len(shared_next) - len(keep))
-        vals: dict[str, Fraction] = {c: values[(t, c)] for c in keep}
-        kept_pos = [i for i, c in enumerate(next_order) if c in keep]
-        if not kept_pos:
-            for i, c in enumerate(next_order):
-                vals[c] = Fraction(i)
-        else:
-            low = vals[next_order[kept_pos[0]]]
-            for i in range(kept_pos[0] - 1, -1, -1):
-                low -= 1
-                vals[next_order[i]] = low
-            for p, q in zip(kept_pos, kept_pos[1:]):
-                step = (vals[next_order[q]] - vals[next_order[p]]) / (q - p)
-                for j in range(1, q - p):
-                    vals[next_order[p + j]] = vals[next_order[p]] + j * step
-            high = vals[next_order[kept_pos[-1]]]
-            for i in range(kept_pos[-1] + 1, len(next_order)):
-                high += 1
-                vals[next_order[i]] = high
-        for c in next_order:
-            values[(t + 1, c)] = vals[c]
-    den = math.lcm(*(v.denominator for v in values.values())) if values else 1
-    scaled = {key: v * den for key, v in values.items()}
-    shift = min(scaled.values()) if scaled else Fraction(0)
-    coord = Coordination({key: float(v - shift) for key, v in scaled.items()})
+    prev_order: tuple[str, ...] = ()
+    for t in range(1, inst.time_steps + 1):
+        order = inst.ordering_at(t)
+        keep: set[str] = set()
+        if t > 1:
+            shared_set = set(prev_order) & set(order)
+            keep = set(_lcs([c for c in prev_order if c in shared_set],
+                            [c for c in order if c in shared_set]))
+            per_gap.append(len(shared_set) - len(keep))
+        for c in order:
+            node[(t, c)] = node[(t - 1, c)] if c in keep else (t, c)
+            succ.setdefault(node[(t, c)], [])
+        for a, b in zip(order, order[1:]):
+            succ[node[(t, a)]].append(node[(t, b)])
+        prev_order = order
+    indegree = dict.fromkeys(succ, 0)
+    for heads in succ.values():
+        for v in heads:
+            indegree[v] += 1
+    level = dict.fromkeys(succ, 0)
+    ready = [v for v, d in indegree.items() if d == 0]
+    while ready:
+        u = ready.pop()
+        for v in succ[u]:
+            level[v] = max(level[v], level[u] + 1)
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                ready.append(v)
+    coord = Coordination({key: float(level[v]) for key, v in node.items()})
     return UnrestrictedWitness(sum(per_gap), tuple(per_gap), coord)

@@ -103,6 +103,33 @@ class TestHandCases:
         r = solve_ilp(model)
         assert r.status == "optimal" and r.objective == pytest.approx(0.0)
 
+    def test_lp_time_limit_ends_the_search(self):
+        seen = []
+
+        def stopped(model, **kwargs):
+            seen.append(kwargs.get("time_limit"))
+            return simplex.SimplexResult("time_limit", None, None, None, 1)
+
+        with mock.patch("storywiggle.branch_bound.solve_lp", stopped):
+            r = solve_ilp(random_ilp(3), time_limit=5.0)
+        assert r.status == "time_limit" and r.nodes == 1 and r.x is None
+        assert len(seen) == 1 and 0.0 <= seen[0] <= 5.0
+
+    def test_cold_node_solves_get_the_time_left(self):
+        seen = []
+
+        def spy(model, **kwargs):
+            seen.append(kwargs.get("time_limit"))
+            return solve_lp(model, **kwargs)
+
+        model, warm = wc_model(6, 6, 11)
+        with mock.patch("storywiggle.branch_bound.solve_lp", spy), \
+                mock.patch.object(Tableau, "resolve", lambda *a: None):
+            r = solve_ilp(model, warm=(warm,), time_limit=60.0)
+        assert r.status == "optimal" and r.objective == EASY_WC[11]
+        assert len(seen) == r.nodes > 1
+        assert all(0.0 <= left <= 60.0 for left in seen)
+
     def test_node_limit_reports_bound(self):
         model = random_ilp(99)
         r = solve_ilp(model, node_limit=1)

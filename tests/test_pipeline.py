@@ -20,7 +20,7 @@ from storywiggle.pipeline import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_MISMATCH,
                                   EXIT_OK, EXIT_TIME, OBJECTIVES, RunConfig,
                                   compare_objectives, format_compare_table,
                                   run_pipeline)
-from storywiggle.solver import SolveResult, SolveStatus
+from storywiggle.solver import SolveResult, SolverConfig, SolveStatus
 
 INSTANCES = Path(__file__).parent.parent / "instances"
 CROSSING = str(INSTANCES / "crossing_pair.json")
@@ -133,6 +133,18 @@ class TestSuccessRuns:
         first = run(tmp_path, DEMO, svg_path=str(tmp_path / "a.svg"))
         second = run(tmp_path, DEMO, svg_path=str(tmp_path / "b.svg"))
         assert first.svg == second.svg
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_wc_layouts_are_integral(seed):
+    # only the indicators are integral; with them fixed the rows are
+    # differences, so y is integral at every vertex the solver returns
+    inst, params = generate_instance(4, 3, seed=seed, meeting_prob=0.5)
+    status, coord, _, _ = pipeline_mod._solve_objective(
+        inst, params, "wc", SolverConfig(backend="builtin"))
+    assert status is SolveStatus.OPTIMAL
+    assert all(abs(y - round(y)) <= 1e-9 for _, y in coord.items())
 
 
 class TestInputErrors:
