@@ -9,15 +9,31 @@ dx obeys dx^2 = 2 (r1 + r2) |dy| - dy^2, and the S is x-monotone iff
 r1 + r2 >= |dy|.
 
 All wiggling characters of a gap share one dx, so routing a gap is a
-small LP over X = dx^2 and the radii.  Separation rows keep the arcs of
-vertically close same-direction pairs from touching by pushing their
-arc centers together: at equality the two leaving (or landing) circles
-are concentric, and concentric same-branch arcs keep at least their
-radius difference of vertical distance.  A first solve minimizes X; a
-second solve pins X and minimizes the total separation slack, so ties
-break toward concentric arcs.  If the separation rows are jointly
-infeasible the most distant pairs are dropped first, and the dropped
-pairs are reported.
+small program over X = dx^2 and the radii.  Separation rows keep the
+arcs of vertically close same-direction pairs from touching by pushing
+their arc centers together: at equality the two leaving (or landing)
+circles are concentric, and concentric same-branch arcs keep at least
+their radius difference of vertical distance.  The first stage
+minimizes X; the second pins X and minimizes the total separation
+slack, so ties break toward concentric arcs.
+
+Substituting r2 = s(X) - r1, with s(X) = (X + dy^2) / (2 |dy|), makes
+every row a difference constraint on the leaving radii whose
+right-hand side is affine in X.  The bounds r_min <= r1 <= s(X) - r_min
+are arcs from and to a ground node; each separation row is an arc
+between its pair, running down the step-t levels for rising pairs and
+up them for falling ones.  Those arcs form a DAG, so every cycle passes
+once through ground and closes along an upper-bound arc, whose slope in
+X is -1 / (2 |dy|).  `*_LEFT` rows do not depend on X.  A `*_RIGHT` row
+sits on the landing radii, and its tail moves less than its head, so its
+slope is negative too.  Every cycle's weight therefore falls as X grows:
+some X fits every pair, and no pair is ever dropped.  The least such X
+is a maximum cycle ratio, found by Newton's method (Dinkelbach 1967;
+Radzik 1992) in a few longest-path passes in level order.  A gap
+without pairs needs none: each mover alone asks for
+X >= max(dy^2, 4 r_min |dy| - dy^2).  With X fixed, concentricity is an
+LP over the paired movers' leaving radii, solved only where pairs are
+kept; movers in no pair take balanced radii.
 """
 
 from __future__ import annotations
@@ -26,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 from .instance import Coordination, OrderedStorylineInstance
-from .programs import EQ, GE, LinearConstraint, ModelError, OptimizationModel, Variable
+from .programs import GE, LinearConstraint, ModelError, OptimizationModel, Variable
 from .solver import SolveStatus, SolverConfig, solve_model
 
 UP_LEFT = "up_left"
@@ -82,7 +98,11 @@ class GapRouting:
     radii: dict[str, tuple[float, float]]
     wiggling: tuple[str, ...]
     pairs: tuple[RoutedPair, ...]
-    dropped: tuple[RoutedPair, ...]
+
+    @property
+    def dropped(self) -> tuple[RoutedPair, ...]:
+        """Always empty: the separation system is feasible at a large enough X."""
+        return ()
 
 
 @dataclass
@@ -296,6 +316,17 @@ def is_monotone(values: list[float], tol: float = 1e-6) -> bool:
     return rising or falling
 
 
+def _movers(inst: OrderedStorylineInstance, coord: Coordination, t: int,
+            zero_tol: float = _ZERO_TOL) -> list[tuple[str, float, float]]:
+    """Characters of gap t that change level, with both levels."""
+    movers = []
+    for c in inst.shared_at_gap(t):
+        y0, y1 = coord.y(t, c), coord.y(t + 1, c)
+        if abs(y1 - y0) > zero_tol:
+            movers.append((c, y0, y1))
+    return movers
+
+
 def classify_pairs(inst: OrderedStorylineInstance, coord: Coordination,
                    t: int, zero_tol: float = _ZERO_TOL) -> list[RoutedPair]:
     """Same-direction wiggling pairs of gap t whose boxes touch.
@@ -306,12 +337,7 @@ def classify_pairs(inst: OrderedStorylineInstance, coord: Coordination,
     closer, where ends within `zero_tol` of each other tie and go left,
     so rounding in the layout cannot pick the side.
     """
-    shared = inst.shared_at_gap(t)
-    movers = []
-    for c in shared:
-        y0, y1 = coord.y(t, c), coord.y(t + 1, c)
-        if abs(y1 - y0) > zero_tol:
-            movers.append((c, y0, y1))
+    movers = _movers(inst, coord, t, zero_tol)
     pairs: list[RoutedPair] = []
     for i, (c, cy0, cy1) in enumerate(movers):
         for d, dy0, dy1 in movers[i + 1:]:
@@ -335,96 +361,138 @@ def classify_pairs(inst: OrderedStorylineInstance, coord: Coordination,
     return pairs
 
 
-def build_routing_program(inst: OrderedStorylineInstance, coord: Coordination,
-                          t: int, r_min: float,
-                          pairs: list[RoutedPair]) -> tuple[OptimizationModel, dict]:
-    """LP over X = dx^2 and the wiggling radii of gap t."""
-    shared = inst.shared_at_gap(t)
-    movers = [(c, coord.y(t + 1, c) - coord.y(t, c)) for c in shared
-              if abs(coord.y(t + 1, c) - coord.y(t, c)) > _ZERO_TOL]
-    model = OptimizationModel(f"route_gap{t}")
-    names: dict[str, tuple[str, str]] = {}
-    x_lower = max((dy * dy for _, dy in movers), default=0.0)
-    model.variables.append(Variable("X", x_lower, math.inf))
-    model.objective = {"X": 1.0}
-    for c, dy in movers:
-        r1 = f"rleave_{c}"
-        r2 = f"rland_{c}"
-        names[c] = (r1, r2)
-        model.variables.append(Variable(r1, r_min, math.inf))
-        model.variables.append(Variable(r2, r_min, math.inf))
-        model.constraints.append(LinearConstraint(
-            f"ident_{c}",
-            ((r1, 2.0 * abs(dy)), (r2, 2.0 * abs(dy)), ("X", -1.0)),
-            EQ, dy * dy))
+def separation_arcs(pairs: list[RoutedPair], dy: dict[str, float],
+                    ) -> list[tuple[str, str, float, float]]:
+    """Each pair's separation row as an arc (tail, head, alpha, beta).
+
+    The arc reads r1_head - r1_tail >= alpha + beta X on the leaving
+    radii, after r2 = s(X) - r1 on the landing ones.  Rising pairs run
+    from upper to lower, falling pairs from lower to upper.
+    """
+    arcs = []
     for p in pairs:
-        lo1, lo2 = names[p.lower]
-        hi1, hi2 = names[p.upper]
-        if p.side == UP_LEFT:
-            coeffs, rhs = ((lo1, 1.0), (hi1, -1.0)), p.sep_start
-        elif p.side == UP_RIGHT:
-            coeffs, rhs = ((hi2, 1.0), (lo2, -1.0)), p.sep_end
-        elif p.side == DOWN_LEFT:
-            coeffs, rhs = ((hi1, 1.0), (lo1, -1.0)), p.sep_start
+        rising = p.side in (UP_LEFT, UP_RIGHT)
+        tail, head = (p.upper, p.lower) if rising else (p.lower, p.upper)
+        if p.side in (UP_LEFT, DOWN_LEFT):
+            arcs.append((tail, head, p.sep_start, 0.0))
         else:
-            coeffs, rhs = ((lo2, 1.0), (hi2, -1.0)), p.sep_end
+            # r2_tail - r2_head >= sep_end
+            ht, hh = abs(dy[tail]), abs(dy[head])
+            arcs.append((tail, head, p.sep_end + (hh - ht) / 2.0,
+                         1.0 / (2.0 * hh) - 1.0 / (2.0 * ht)))
+    return arcs
+
+
+def _min_extent(t: int, order: list[str], arcs: list[tuple[str, str, float, float]],
+                dy: dict[str, float], r_min: float) -> float:
+    """Least X = dx^2 at which gap t's leaving radii fit (Newton's method).
+
+    Starts at the least X of the movers taken alone.  Each pass takes
+    the longest path from ground over `order`, a topological order of
+    the arcs, and closes it back to ground along r1 <= s(X) - r_min.
+    The most violated cycle, of weight alpha + beta X, sets
+    X = -alpha / beta; a pass that finds no violated cycle, or cannot
+    raise X, ends the loop.
+    """
+    x = max(max(d * d, 4.0 * r_min * abs(d) - d * d) for d in dy.values())
+    into: dict[str, list[tuple[str, float, float]]] = {}
+    for tail, head, alpha, beta in arcs:
+        into.setdefault(head, []).append((tail, alpha, beta))
+    while arcs:
+        path: dict[str, tuple[float, float, float]] = {}
+        worst, cycle = 0.0, None
+        for c in order:
+            best = (r_min, r_min, 0.0)          # value, alpha, beta from ground
+            for tail, alpha, beta in into.get(c, ()):
+                v, a, b = path[tail]
+                v += alpha + beta * x
+                if v > best[0]:
+                    best = (v, a + alpha, b + beta)
+            path[c] = best
+            h = abs(dy[c])
+            excess = best[0] + r_min - (x + h * h) / (2.0 * h)
+            if excess > worst:
+                worst, cycle = excess, (best[1] + r_min - h / 2.0,
+                                        best[2] - 1.0 / (2.0 * h))
+        if cycle is None:
+            break
+        alpha, beta = cycle
+        if beta >= 0.0:
+            raise ModelError(
+                f"gap {t} routing has a separation cycle no extent clears")
+        x_next = -alpha / beta
+        if x_next <= x:
+            break
+        x = x_next
+    return x
+
+
+def _concentricity_program(t: int, pairs: list[RoutedPair],
+                           arcs: list[tuple[str, str, float, float]],
+                           spans: dict[str, float], r_min: float,
+                           x: float) -> OptimizationModel:
+    """Stage 2 of gap t: the paired movers' leaving radii at extent X.
+
+    Each separation row is a difference of two leaving radii, and the
+    cost is the sum of their left-hand sides, so the optimum minimizes
+    the total separation slack.
+    """
+    cost: dict[str, float] = {}
+    model = OptimizationModel(f"route_gap{t}")
+    for p, (tail, head, alpha, beta) in zip(pairs, arcs):
+        cost[head] = cost.get(head, 0.0) + 1.0
+        cost[tail] = cost.get(tail, 0.0) - 1.0
         model.constraints.append(LinearConstraint(
-            f"sep_{p.side}_{p.lower}_{p.upper}", coeffs, GE, rhs))
-    return model, names
+            f"sep_{p.side}_{p.lower}_{p.upper}",
+            ((f"rleave_{head}", 1.0), (f"rleave_{tail}", -1.0)),
+            GE, alpha + beta * x))
+    for c, coefficient in cost.items():
+        # rounding can leave s(X) a hair under 2 r_min
+        model.variables.append(Variable(
+            f"rleave_{c}", r_min, max(r_min, spans[c] - r_min)))
+        model.objective[f"rleave_{c}"] = coefficient
+    return model
 
 
 def route_gap(inst: OrderedStorylineInstance, coord: Coordination, t: int, *,
               r_min: float, config: SolverConfig | None = None) -> GapRouting:
     """Route one gap: minimal extent, then maximal concentricity.
 
-    Infeasible separation systems shed their most distant pairs first
-    until the remainder fits; the shed pairs come back in `dropped`.
-    A gap where nothing wiggles needs no LP: both would find X = 0.
+    The extent comes from `_min_extent` with no LP.  Movers in no pair
+    take balanced radii; only a gap with pairs solves one LP, for the
+    paired movers' radii.
     """
-    if all(abs(coord.y(t + 1, c) - coord.y(t, c)) <= _ZERO_TOL
-           for c in inst.shared_at_gap(t)):
-        return GapRouting(t, 0.0, {}, (), (), ())
-    pairs = classify_pairs(inst, coord, t)
-    keep = sorted(pairs, key=lambda p: (min(p.sep_start, p.sep_end),
-                                        p.lower, p.upper))
-    dropped: list[RoutedPair] = []
-    while True:
-        model, names = build_routing_program(inst, coord, t, r_min, keep)
-        stage1 = solve_model(model, config)
-        if stage1.status is SolveStatus.OPTIMAL:
-            break
-        if not keep:
+    movers = _movers(inst, coord, t)
+    if not movers:
+        return GapRouting(t, 0.0, {}, (), ())
+    y0 = {c: a for c, a, _ in movers}
+    dy = {c: b - a for c, a, b in movers}
+    pairs = sorted(classify_pairs(inst, coord, t),
+                   key=lambda p: (p.lower, p.upper))
+    arcs = separation_arcs(pairs, dy)
+    paired = {p.lower for p in pairs} | {p.upper for p in pairs}
+    # arcs run down the levels of rising movers and up those of falling ones
+    order = sorted((c for c, _, _ in movers if c in paired),
+                   key=lambda c: y0[c] if dy[c] < 0 else -y0[c])
+    x = _min_extent(t, order, arcs, dy, r_min)
+    spans = {c: (x + d * d) / (2.0 * abs(d)) for c, d in dy.items()}
+    # nothing else pins the split, so balance the S symmetrically
+    radii = {c: (s / 2.0, s / 2.0) for c, s in spans.items()}
+    if pairs:
+        model = _concentricity_program(t, pairs, arcs, spans, r_min, x)
+        result = solve_model(model, config)
+        if result.status is not SolveStatus.OPTIMAL:
             raise ModelError(
-                f"gap {t} routing infeasible with no separation rows")
-        dropped.append(keep.pop())
-    x_star = stage1.assignment["X"]
-    model.variables[0] = Variable("X", x_star, x_star)
-    slack_obj: dict[str, float] = {}
-    for row in model.constraints:
-        if row.name.startswith("sep_"):
-            for var, coefficient in row.coeffs:
-                slack_obj[var] = slack_obj.get(var, 0.0) + coefficient
-    model.objective = slack_obj
-    stage2 = solve_model(model, config)
-    if stage2.status is not SolveStatus.OPTIMAL:
-        raise ModelError(f"gap {t} routing stage 2 ended {stage2.status.value}")
-    assignment = stage2.assignment
-    constrained = {p.lower for p in keep} | {p.upper for p in keep}
-    radii = {}
-    for c, (r1, r2) in names.items():
-        if c in constrained:
-            radii[c] = (assignment[r1], assignment[r2])
-        else:
-            # nothing pins the split, so balance the S symmetrically
-            half = (assignment[r1] + assignment[r2]) / 2.0
-            radii[c] = (half, half)
+                f"gap {t} routing stage 2 ended {result.status.value}")
+        for c in paired:
+            r1 = result.assignment[f"rleave_{c}"]
+            radii[c] = (r1, spans[c] - r1)
     return GapRouting(
         gap=t,
-        dx=math.sqrt(max(x_star, 0.0)),
+        dx=math.sqrt(x),
         radii=radii,
-        wiggling=tuple(sorted(names)),
-        pairs=tuple(keep),
-        dropped=tuple(dropped),
+        wiggling=tuple(sorted(dy)),
+        pairs=tuple(pairs),
     )
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from storywiggle import routing as routing_mod
 from storywiggle import simplex
 from storywiggle.generate import generate_instance
 from storywiggle.instance import is_nice, parse_instance
@@ -14,7 +15,8 @@ from storywiggle.programs import (EQ, GE, LE, LinearConstraint, OptimizationMode
                                   Variable, big_y, build_lwh_program,
                                   build_qwh_program, compile_model,
                                   model_violations)
-from storywiggle.routing import build_routing_program, classify_pairs
+from storywiggle.routing import route_all_gaps
+from storywiggle.solver import solve_model
 from storywiggle.wigglefree import max_wiggle_free_set
 
 from test_solver import lp_model
@@ -146,17 +148,20 @@ def test_zero_budget_stops_before_the_first_pivot():
 
 
 class TestOtherModelsStayOnTheSimplex:
-    def test_routing_lp(self):
-        inst, params = generate_instance(6, 6, seed=3, meeting_prob=0.5)
+    def test_routing_lp(self, monkeypatch):
+        # the only routing LP: concentricity over the paired leaving radii
+        inst, params = generate_instance(6, 6, seed=6, meeting_prob=0.5)
         model, index = build_lwh_program(inst, params)
         cm = compile_model(model)
         r = solve_network(cm, difference_form(cm))
         coord = index.coordination_from(r.x)
-        t = next(t for t in inst.gaps() for c in inst.shared_at_gap(t)
-                 if coord.y(t, c) != coord.y(t + 1, c))
-        route, _ = build_routing_program(inst, coord, t, 0.5,
-                                         classify_pairs(inst, coord, t))
-        assert difference_form(compile_model(route)) is None
+        seen = []
+        monkeypatch.setattr(routing_mod, "solve_model",
+                            lambda m, config=None: seen.append(m)
+                            or solve_model(m, config))
+        route_all_gaps(inst, coord, r_min=0.5)
+        assert seen
+        assert all(difference_form(compile_model(m)) is None for m in seen)
 
     def test_qwh_probe(self):
         inst, params = generate_instance(6, 6, seed=3, meeting_prob=0.5)

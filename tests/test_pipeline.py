@@ -300,10 +300,11 @@ class TestSolverOutcomes:
 
     def test_routing_failure_exits_two(self, tmp_path):
         # wc-unrestricted needs no solver, so the first model this backend
-        # sees is a routing LP, which it declares infeasible
+        # sees is the routing LP of a gap with a kept pair, which it
+        # declares infeasible
         write = "open(sys.argv[2], 'w').write('status infeasible')"
         backend = f"external:{sys.executable} -c \"import sys; {write}\""
-        r = run(tmp_path, CROSSING, objective="wc-unrestricted",
+        r = run(tmp_path, DEMO, objective="wc-unrestricted",
                 backend=backend)
         assert r.exit_code == EXIT_INPUT and "routing" in r.message
 

@@ -1,4 +1,4 @@
-"""Arc routing: tangency geometry, separation LPs, radial profiles."""
+"""Arc routing: tangency geometry, extents, separation, radial profiles."""
 
 import json
 import math
@@ -9,17 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storywiggle import routing as routing_mod
+from storywiggle import simplex
 from storywiggle.generate import generate_instance
 from storywiggle.instance import Coordination, parse_instance
 from storywiggle.oracle import oracle_optimum
-from storywiggle.programs import ModelError
-from storywiggle.routing import (DOWN_LEFT, UP_LEFT, UP_RIGHT, GapRouting,
-                                 arc_pair,
-                                 arc_tangent_angle, classify_pairs, gap_paths,
-                                 is_monotone, path_y_at,
-                                 radial_distance_profile, route_all_gaps,
-                                 route_gap, sample_path)
-from storywiggle.solver import SolveResult, SolveStatus
+from storywiggle.programs import (EQ, GE, LinearConstraint, OptimizationModel,
+                                  Variable, build_lwh_program,
+                                  extract_coordination)
+from storywiggle.routing import (DOWN_LEFT, DOWN_RIGHT, UP_LEFT, UP_RIGHT,
+                                 GapRouting, arc_pair, arc_tangent_angle,
+                                 classify_pairs, gap_paths, is_monotone,
+                                 path_y_at, radial_distance_profile,
+                                 route_all_gaps, route_gap, sample_path,
+                                 separation_arcs)
+from storywiggle.solver import solve_model
 
 
 def two_step(levels1, levels2):
@@ -178,31 +181,6 @@ class TestRouteGap:
         assert all(v == pytest.approx(1.0, abs=1e-9) for v in profile)
         assert is_monotone(profile)
 
-    def test_infeasible_separation_drops_the_pair(self, monkeypatch):
-        real = routing_mod.solve_model
-
-        def fake(model, config=None, **kw):
-            if any(r.name.startswith("sep_") for r in model.constraints):
-                return SolveResult(SolveStatus.INFEASIBLE, None, None,
-                                   None, None, None, None)
-            return real(model, config, **kw)
-
-        monkeypatch.setattr(routing_mod, "solve_model", fake)
-        inst, coord = two_step({"a": 0, "b": 1}, {"a": 1, "b": 2})
-        g = route_gap(inst, coord, 1, r_min=0.5)
-        assert len(g.dropped) == 1 and g.pairs == ()
-        assert g.dx == pytest.approx(1.0)
-
-    def test_hopeless_gap_raises(self, monkeypatch):
-        def never(model, config=None, **kw):
-            return SolveResult(SolveStatus.INFEASIBLE, None, None,
-                               None, None, None, None)
-
-        monkeypatch.setattr(routing_mod, "solve_model", never)
-        inst, coord = two_step({"a": 0}, {"a": 1})
-        with pytest.raises(ModelError, match="no separation rows"):
-            route_gap(inst, coord, 1, r_min=0.5)
-
     def test_gap_without_movers_solves_nothing(self, monkeypatch):
         def unused(model, config=None, **kw):
             raise AssertionError("no LP is needed")
@@ -210,7 +188,26 @@ class TestRouteGap:
         monkeypatch.setattr(routing_mod, "solve_model", unused)
         inst, coord = two_step({"a": 0, "b": 3}, {"a": 0, "b": 3})
         assert route_gap(inst, coord, 1, r_min=0.5) == GapRouting(
-            1, 0.0, {}, (), (), ())
+            1, 0.0, {}, (), ())
+        # movers without pairs: one rises, the other falls
+        inst, coord = two_step({"a": 0, "b": 4}, {"a": 1, "b": 2})
+        g = route_gap(inst, coord, 1, r_min=0.5)
+        assert g.pairs == () and g.wiggling == ("a", "b")
+        # X = dx^2 is the largest dy^2 or 4 r_min |dy| - dy^2: b's dy^2
+        assert g.dx == pytest.approx(2.0)
+        assert g.radii["a"] == (pytest.approx(1.25), pytest.approx(1.25))
+        assert g.radii["b"] == (pytest.approx(1.0), pytest.approx(1.0))
+
+    def test_pairs_list_in_name_order(self):
+        # (b, c) is closer than (a, b) by 1e-15, which used to list it first
+        inst, coord = two_step({"a": 0.0, "b": 1.0, "c": 2.0 - 1e-15},
+                               {"a": 1.0, "b": 2.0, "c": 3.0})
+        pairs = classify_pairs(inst, coord, 1)
+        closest = min(pairs, key=lambda p: min(p.sep_start, p.sep_end))
+        assert (closest.lower, closest.upper) == ("b", "c")
+        g = route_gap(inst, coord, 1, r_min=0.5)
+        assert [(p.lower, p.upper) for p in g.pairs] == [("a", "b"),
+                                                         ("b", "c")]
 
     def test_gap_paths_pad_and_flats(self):
         inst, coord = two_step({"a": 0, "b": 3}, {"a": 1, "b": 3})
@@ -261,3 +258,148 @@ def test_routed_layout_pairs_stay_radially_monotone():
                 profile = radial_distance_profile(paths[p.lower],
                                                   paths[p.upper])
                 assert is_monotone(profile), (seed, g.gap, p)
+
+
+def reference_routing(inst, coord, t, r_min):
+    """Both stages of gap t as LPs over X = dx^2, r1 and r2, by the simplex.
+
+    This is the model `route_gap` solved before the extent became a
+    longest path.  Returns X and each mover's (r1, r2), or None when
+    the separation rows admit no X.
+    """
+    movers = [(c, coord.y(t + 1, c) - coord.y(t, c))
+              for c in inst.shared_at_gap(t)
+              if abs(coord.y(t + 1, c) - coord.y(t, c)) > 1e-9]
+    model = OptimizationModel("reference")
+    model.variables.append(
+        Variable("X", max(dy * dy for _, dy in movers), math.inf))
+    model.objective = {"X": 1.0}
+    for c, dy in movers:
+        model.variables.append(Variable(f"r1_{c}", r_min, math.inf))
+        model.variables.append(Variable(f"r2_{c}", r_min, math.inf))
+        model.constraints.append(LinearConstraint(
+            f"ident_{c}", ((f"r1_{c}", 2.0 * abs(dy)),
+                           (f"r2_{c}", 2.0 * abs(dy)), ("X", -1.0)),
+            EQ, dy * dy))
+    slack_cost: dict[str, float] = {}
+    for p in classify_pairs(inst, coord, t):
+        lo1, lo2, hi1, hi2 = (f"r1_{p.lower}", f"r2_{p.lower}",
+                              f"r1_{p.upper}", f"r2_{p.upper}")
+        coeffs, rhs = {
+            UP_LEFT: (((lo1, 1.0), (hi1, -1.0)), p.sep_start),
+            UP_RIGHT: (((hi2, 1.0), (lo2, -1.0)), p.sep_end),
+            DOWN_LEFT: (((hi1, 1.0), (lo1, -1.0)), p.sep_start),
+            DOWN_RIGHT: (((lo2, 1.0), (hi2, -1.0)), p.sep_end)}[p.side]
+        model.constraints.append(LinearConstraint(
+            f"sep_{p.lower}_{p.upper}", coeffs, GE, rhs))
+        for var, coefficient in coeffs:
+            slack_cost[var] = slack_cost.get(var, 0.0) + coefficient
+    stage1 = simplex.solve_lp(model)
+    if stage1.status != "optimal":
+        return None
+    x = stage1.x["X"]
+    model.variables[0] = Variable("X", x, x)
+    model.objective = slack_cost
+    stage2 = simplex.solve_lp(model)
+    assert stage2.status == "optimal"
+    return x, {c: (stage2.x[f"r1_{c}"], stage2.x[f"r2_{c}"]) for c, _ in movers}
+
+
+def separation_slacks(pairs, radii):
+    """Each pair's separation row, left-hand side minus right-hand side."""
+    slacks = []
+    for p in pairs:
+        (lo1, lo2), (hi1, hi2) = radii[p.lower], radii[p.upper]
+        slacks.append({UP_LEFT: lo1 - hi1 - p.sep_start,
+                       UP_RIGHT: hi2 - lo2 - p.sep_end,
+                       DOWN_LEFT: hi1 - lo1 - p.sep_start,
+                       DOWN_RIGHT: lo2 - hi2 - p.sep_end}[p.side])
+    return slacks
+
+
+def assert_matches_reference(inst, coord, t, r_min):
+    """`route_gap` against `reference_routing` on gap t; True if it has pairs."""
+    g = route_gap(inst, coord, t, r_min=r_min)
+    if not g.wiggling:
+        return False
+    ref = reference_routing(inst, coord, t, r_min)
+    assert ref is not None, "the reference LP keeps every pair"
+    x_ref, radii_ref = ref
+    assert abs(g.dx - math.sqrt(x_ref)) <= 1e-12 * math.sqrt(x_ref)
+    assert set(g.pairs) == set(classify_pairs(inst, coord, t))
+    slacks = separation_slacks(g.pairs, g.radii)
+    assert min(slacks, default=0.0) >= -1e-9
+    total, total_ref = sum(slacks), sum(separation_slacks(g.pairs, radii_ref))
+    assert abs(total - total_ref) <= 1e-9 * max(1.0, abs(total_ref))
+    for c, (r1, r2) in g.radii.items():
+        dy = coord.y(t + 1, c) - coord.y(t, c)
+        assert min(r1, r2) >= r_min - 1e-9
+        ident = 2.0 * (r1 + r2) * abs(dy) - dy * dy
+        assert abs(ident - g.dx ** 2) <= 1e-9 * max(1.0, g.dx ** 2)
+    return bool(g.pairs)
+
+
+def mixed_gap(rng):
+    """One gap of 2-7 characters moving up, down or not at all."""
+    n = rng.randint(2, 7)
+    step = rng.choice([0.5, 1.0])
+    y0 = sorted(rng.sample(range(3 * n), n))
+    levels1 = {f"c{i}": step * v for i, v in enumerate(y0)}
+    levels2 = {c: v if rng.random() < 0.2 else step * rng.randint(0, 3 * n)
+               + rng.choice([0.0, 0.0, rng.uniform(-0.3, 0.3)])
+               for c, v in levels1.items()}
+    return two_step(levels1, levels2), rng.uniform(0.1, 1.5)
+
+
+class TestExtentAgainstTheLP:
+    def test_seed7_ladder_gaps(self):
+        paired = 0
+        for n, steps in ((10, 10), (15, 15), (20, 20), (25, 30)):
+            inst, params = generate_instance(n, steps, seed=7,
+                                             meeting_prob=0.5)
+            model, index = build_lwh_program(inst, params)
+            coord = extract_coordination(index,
+                                         solve_model(model).assignment)
+            for t in inst.gaps():
+                paired += assert_matches_reference(inst, coord, t,
+                                                   params.delta / 2.0)
+        assert paired >= 30
+
+    def test_acceptance_fans(self):
+        # the same-direction fans of acceptance item 7
+        rng = random.Random(707)
+        paired = 0
+        for _ in range(20):
+            n = rng.randint(3, 5)
+            l1, l2 = {}, {}
+            y1 = y2 = 0.0
+            for i in range(n):
+                y1 += rng.uniform(0.8, 1.6) if i else 0.0
+                y2 += rng.uniform(0.1, 2.0) if i else rng.uniform(0.4, 2.5)
+                l1[f"c{i}"] = y1
+                l2[f"c{i}"] = y2
+            inst, coord = two_step(l1, l2)
+            paired += assert_matches_reference(inst, coord, 1, 0.5)
+        assert paired >= 10
+
+    def test_random_mixed_gaps(self):
+        rng = random.Random(1313)
+        paired = 0
+        for _ in range(300):
+            (inst, coord), r_min = mixed_gap(rng)
+            paired += assert_matches_reference(inst, coord, 1, r_min)
+        assert paired >= 100
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000_000))
+def test_separation_arcs_never_gain_with_the_extent(seed):
+    # every cycle closes through ground along an arc with beta < 0, so
+    # beta <= 0 on every separation arc makes each cycle clear at large X
+    (inst, coord), _ = mixed_gap(random.Random(seed))
+    pairs = classify_pairs(inst, coord, 1)
+    dy = {c: coord.y(2, c) - coord.y(1, c) for c in inst.characters}
+    for p, (_, _, _, beta) in zip(pairs, separation_arcs(pairs, dy)):
+        assert beta <= 0.0
+        if p.side in (UP_RIGHT, DOWN_RIGHT):
+            assert beta < 0.0
