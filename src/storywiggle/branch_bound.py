@@ -66,9 +66,9 @@ def solve_ilp(model: OptimizationModel, *,
     """Minimize `model` with its integrality constraints enforced.
 
     `warm` holds candidate assignments; feasible integral ones seed the
-    incumbent.  `time_limit` bounds the whole search: the root LP and
-    each cold node solve get the time left, and the search ends with
-    `time_limit` as soon as one of them stops.
+    incumbent.  `time_limit` bounds the whole search: it is checked
+    between nodes, and each node LP, warm or cold, gets the time left;
+    the search ends with `time_limit` as soon as one of them stops.
     """
     cm = compile_model(model)
     if any(cm.quad):
@@ -113,7 +113,7 @@ def solve_ilp(model: OptimizationModel, *,
             lp = solve_lp(cm, keep_tableau=True, time_limit=left)
             live = lp.tableau
         else:
-            lp = (live.resolve(lower, upper)
+            lp = (live.resolve(lower, upper, time_limit=left)
                   or solve_lp(replace(cm, lower=lower, upper=upper),
                               time_limit=left))
         if lp.status == INFEASIBLE:

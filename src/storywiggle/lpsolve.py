@@ -22,10 +22,13 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: python3 -m storywiggle.lpsolve input.lp output.sol",
               file=sys.stderr)
         return 2
-    with open(args[0], "r", encoding="utf-8") as fh:
-        model = parse_lp(fh.read())
-    result = solve_model(model, SolverConfig(backend="builtin"))
-    write_solution(args[1], result)
+    try:
+        with open(args[0], "r", encoding="utf-8") as fh:
+            model = parse_lp(fh.read())
+        write_solution(args[1], solve_model(model, SolverConfig(backend="builtin")))
+    except (OSError, ValueError) as e:      # LpFormatError, ModelError
+        print(f"lpsolve: {e}", file=sys.stderr)
+        return 2
     return 0
 
 

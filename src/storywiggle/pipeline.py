@@ -24,7 +24,7 @@ from .instance import (Coordination, LayoutMetrics,
 from .oracle import OracleLimitError, oracle_optimum
 from .programs import (ModelError, assignment_from_coordination, big_y,
                        build_lwh_program, build_qwh_program, build_wc_program,
-                       extract_coordination)
+                       extract_coordination, objective_value)
 from .render import RenderStyle, render_svg
 from .routing import RoutingPlan, route_all_gaps
 from .solver import SolveStatus, SolverConfig, solve_model
@@ -96,7 +96,7 @@ def _solve_objective(inst: OrderedStorylineInstance, params: NicenessParams,
         return SolveStatus.OPTIMAL, w.coordination, float(w.wiggles), extras
 
     if objective == "lwh":
-        # a pure LP: the simplex takes no warm start
+        # a difference-form LP: the network simplex takes no warm start
         model, index = build_lwh_program(inst, params)
         result = solve_model(model, solver_config)
     elif objective == "qwh":
@@ -120,6 +120,16 @@ def _solve_objective(inst: OrderedStorylineInstance, params: NicenessParams,
         if lwh_coord is not None:
             warm.append(assignment_from_coordination(model, index, lwh_coord))
         result = solve_model(model, solver_config, warm=tuple(warm))
+        if result.assignment is not None:
+            # integral spacing keeps y and h integral at every vertex (see
+            # build_wc_program): drop the simplex's rounding
+            exact = {**result.assignment,
+                     **{v: float(round(result.assignment[v]))
+                        for v in (*index.y.values(), index.h) if v}}
+            value = objective_value(model, exact)
+            proven = result.status is SolveStatus.OPTIMAL
+            result = replace(result, assignment=exact, objective=value,
+                             best_bound=value if proven else result.best_bound)
     else:
         raise ValueError(f"unknown objective {objective!r}")
 

@@ -316,28 +316,28 @@ def is_monotone(values: list[float], tol: float = 1e-6) -> bool:
     return rising or falling
 
 
-def _movers(inst: OrderedStorylineInstance, coord: Coordination, t: int,
-            zero_tol: float = _ZERO_TOL) -> list[tuple[str, float, float]]:
+def _movers(inst: OrderedStorylineInstance, coord: Coordination,
+            t: int) -> list[tuple[str, float, float]]:
     """Characters of gap t that change level, with both levels."""
     movers = []
     for c in inst.shared_at_gap(t):
         y0, y1 = coord.y(t, c), coord.y(t + 1, c)
-        if abs(y1 - y0) > zero_tol:
+        if abs(y1 - y0) > _ZERO_TOL:
             movers.append((c, y0, y1))
     return movers
 
 
 def classify_pairs(inst: OrderedStorylineInstance, coord: Coordination,
-                   t: int, zero_tol: float = _ZERO_TOL) -> list[RoutedPair]:
+                   t: int) -> list[RoutedPair]:
     """Same-direction wiggling pairs of gap t whose boxes touch.
 
     Pairs are keyed lower/upper by the step-t level.  Crossing pairs and
     pairs whose y-ranges stay apart need no separation row.  The side
     tells which arcs carry the constraint: the end where the pair is
-    closer, where ends within `zero_tol` of each other tie and go left,
+    closer, where ends within `_ZERO_TOL` of each other tie and go left,
     so rounding in the layout cannot pick the side.
     """
-    movers = _movers(inst, coord, t, zero_tol)
+    movers = _movers(inst, coord, t)
     pairs: list[RoutedPair] = []
     for i, (c, cy0, cy1) in enumerate(movers):
         for d, dy0, dy1 in movers[i + 1:]:
@@ -348,11 +348,11 @@ def classify_pairs(inst: OrderedStorylineInstance, coord: Coordination,
                 else (d, dy0, dy1, c, cy0, cy1))
             sep_start = hi0 - lo0
             sep_end = hi1 - lo1
-            if sep_start <= zero_tol or sep_end <= zero_tol:
+            if sep_start <= _ZERO_TOL or sep_end <= _ZERO_TOL:
                 continue
-            if min(hi0, hi1) - max(lo0, lo1) > zero_tol:
+            if min(hi0, hi1) - max(lo0, lo1) > _ZERO_TOL:
                 continue
-            left = sep_start <= sep_end + zero_tol
+            left = sep_start <= sep_end + _ZERO_TOL
             if cy1 > cy0:
                 side = UP_LEFT if left else UP_RIGHT
             else:

@@ -1,14 +1,17 @@
 """Two-phase primal simplex with variable bounds, on a dense tableau, and
 a bounded dual simplex that reoptimizes a kept tableau under new bounds.
 
-The solver normalizes a compiled model to `min c'x, Ax = b, 0 <= x <= u`
-from its bound vectors: finite lower bounds are shifted out, upper-only
-variables are negated, free variables are split, and slack columns turn
-inequalities into equalities.  Phase 1 starts from an all-artificial
-basis; the artificial block doubles as an explicit basis inverse, which
-is what the dual values are read from.  Pricing is steepest-edge-flavored
-with a Bland fallback after a run of degenerate steps, and nonbasic
-variables may sit at either bound (bound flips do not pivot).
+Both run on the model's own columns plus one slack per inequality, each
+column measured from where it rests: its finite lower bound, else its
+finite upper bound, else 0.  In that measure a column's lower bound is 0
+or -inf; a column open below rests at an upper bound of 0, or is free and
+may enter in either direction, as in bounded simplex codes (Bixby 2002,
+"Solving real-world linear programs"; Koberstein 2005, "The dual simplex
+method").  Phase 1 starts from an all-artificial basis; the artificial
+block doubles as an explicit basis inverse, which is what the dual
+values are read from.  Pricing is steepest-edge-flavored with a Bland
+fallback after a run of degenerate steps, and nonbasic columns may sit
+at either bound (bound flips do not pivot).
 
 Tableaux of at least `_SPARSE_MIN_CELLS` cells pivot sparsely.  The
 storyline models are difference constraints, so pivot columns and rows
@@ -29,20 +32,15 @@ storyline LPs, the sparse path took 1.2-1.3x the dense time below 3k
 cells, 0.9-1.04x between 9k and 18k, and at most 0.9x from 24k up.
 
 `solve_lp(..., keep_tableau=True)` hands its final phase-2 tableau back
-as a `Tableau`.  Column bounds enter a tableau only through the values
-of its nonbasic columns, never through its reduced costs, so an optimal
-basis stays dual feasible under any new bounds, and `Tableau.resolve`
-reoptimizes it in place with the dual simplex (`_dual`, after Bixby
-2002, "Solving real-world linear programs"): the basic variable furthest
-outside its bounds leaves, the dual ratio test picks the entering
-column, and a row that no column can move back proves the bounds
-infeasible.  One exception needs care.  A column whose new bounds fix it
-(l = u) cannot enter, so while it is fixed its reduced cost may change
-sign; when later bounds free it, it may sit at the bound its reduced
-cost points away from.  `resolve` first moves every such column to the
-other bound.  Without that step the dual loop starts from a basis that
-is not dual feasible and stops at a point that is not optimal: branch
-and bound then reported 7 of its 13 benchmark `wc` optima too high.
+as a `Tableau`.  Bounds enter a tableau only through the values of its
+nonbasic columns, never through its reduced costs, so an optimal basis
+stays dual feasible under new bounds: `Tableau.resolve` subtracts the
+rests from them and reoptimizes in place with the dual simplex (`_dual`).
+A column that earlier bounds fixed (l = u) could not enter, so its
+reduced cost may have changed sign; `resolve` first moves each column to
+the bound its reduced cost asks for.  Without that step the dual loop
+starts from a basis that is not dual feasible, and branch and bound
+reported 7 of its 13 benchmark `wc` optima too high.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .programs import (EQ, GE, LE, CompiledModel, ModelError, OptimizationModel,
+from .programs import (EQ, LE, CompiledModel, ModelError, OptimizationModel,
                        compile_model)
 
 OPTIMAL = "optimal"
@@ -65,6 +63,7 @@ TIME_LIMIT = "time_limit"
 _STALL_LIMIT = 60
 _SPARSE_MIN_CELLS = 20_000
 _DUAL_MAXITER = 1000
+_MAXITER = 50000
 
 
 @dataclass
@@ -78,62 +77,35 @@ class SimplexResult:
 
 
 def _standard_form(cm: CompiledModel):
-    """Rewrite into equality form with all lower bounds at zero."""
+    """Rows `A x' = b` over x' = x - rest, slacks last, b >= 0 (`flips`
+    marks negated rows); the rests, upper bounds and objective constant."""
     inf = math.inf
-    transforms: list[tuple[str, int, float]] = []
-    upper: list[float] = []
-    cost: list[float] = []
-    const = 0.0
-    for lo, hi, c in zip(cm.lower, cm.upper, cm.cost):
-        col = len(upper)
-        if lo > -inf:
-            transforms.append(("shift", col, lo))
-            upper.append(hi - lo)
-            cost.append(c)
-            const += c * lo
-        elif hi < inf:
-            transforms.append(("negate", col, hi))
-            upper.append(inf)
-            cost.append(-c)
-            const += c * hi
-        else:
-            transforms.append(("split", col, 0.0))
-            upper.extend((inf, inf))
-            cost.extend((c, -c))
-    nstruct = len(upper)
+    rest = [lo if lo > -inf else hi if hi < inf else 0.0
+            for lo, hi in zip(cm.lower, cm.upper)]
     m = len(cm.constraints)
     nslack = sum(1 for row in cm.constraints if row.sense != EQ)
-    A = np.zeros((m, nstruct + nslack))
+    scol = len(rest)
+    A = np.zeros((m, scol + nslack))
     b = np.zeros(m)
     flips = np.ones(m)
-    scol = nstruct
     for i, row in enumerate(cm.constraints):
         rhs = row.rhs
         for j, coef in cm.terms(i):
-            kind, col, off = transforms[j]
-            if kind == "shift":
-                A[i, col] += coef
-                rhs -= coef * off
-            elif kind == "negate":
-                A[i, col] -= coef
-                rhs -= coef * off
-            else:
-                A[i, col] += coef
-                A[i, col + 1] -= coef
-        if row.sense == LE:
-            A[i, scol] = 1.0
-            scol += 1
-        elif row.sense == GE:
-            A[i, scol] = -1.0
+            A[i, j] += coef
+            rhs -= coef * rest[j]
+        if row.sense != EQ:
+            A[i, scol] = 1.0 if row.sense == LE else -1.0
             scol += 1
         b[i] = rhs
         if b[i] < 0:
             A[i] *= -1.0
             b[i] *= -1.0
             flips[i] = -1.0
-    u = np.array(upper + [inf] * nslack)
-    c = np.array(cost + [0.0] * nslack)
-    return transforms, A, b, c, u, const, flips
+    const = 0.0
+    for c, r in zip(cm.cost, rest):
+        const += c * r
+    upper = [hi - r for hi, r in zip(cm.upper, rest)] + [inf] * nslack
+    return np.array(rest), A, b, upper, const, flips
 
 
 def _pivot(T, Tb, basis, in_basis, at_upper, rr, j, sparse):
@@ -164,16 +136,20 @@ def _pivot(T, Tb, basis, in_basis, at_upper, rr, j, sparse):
     return nz_cols
 
 
-def _run(T, Tb, basis, in_basis, at_upper, upper, c, allow, maxiter,
+def _run(T, Tb, basis, in_basis, at_upper, upper, open_below, c, allow,
          deadline=None):
     """Pivot until optimal, unbounded, out of iterations or past `deadline`.
 
-    The deadline is checked before every pivot but the first, so each
-    call makes at least one pivot of progress.
+    Nonbasic columns sit at 0, or at `upper` where `at_upper`.  Lower
+    bounds are 0, or -inf where `open_below` (None if nowhere); a column
+    open below with an infinite upper bound is free and enters either
+    way.  The deadline is checked before every pivot but the first, so
+    each call makes at least one pivot of progress.
     """
     m, n = T.shape
     ctol = 1e-9 * (1.0 + (np.abs(c).max() if n else 0.0))
     ptol = 1e-9
+    free = None if open_below is None else open_below & np.isinf(upper)
     bland = False
     stall = 0
     iters = 0
@@ -181,14 +157,15 @@ def _run(T, Tb, basis, in_basis, at_upper, upper, c, allow, maxiter,
     if sparse:
         r = c - c[basis] @ T
         sq = (T ** 2).sum(axis=0)
-    while iters < maxiter:
+    while iters < _MAXITER:
         iters += 1
-        up_idx = np.flatnonzero(at_upper)
-        xB = Tb - T[:, up_idx] @ upper[up_idx] if up_idx.size else Tb.copy()
+        xB = _basic_values(T, Tb, at_upper, upper)
         if not sparse:
             r = c - c[basis] @ T if m else c.copy()
         cand = allow & ~in_basis & (
             (~at_upper & (r < -ctol)) | (at_upper & (r > ctol)))
+        if free is not None:
+            cand |= free & ~in_basis & (r > ctol)
         idx = np.flatnonzero(cand)
         if idx.size == 0:
             return OPTIMAL, iters
@@ -199,15 +176,18 @@ def _run(T, Tb, basis, in_basis, at_upper, upper, c, allow, maxiter,
         else:
             norms = 1.0 + (sq[idx] if sparse else (T[:, idx] ** 2).sum(axis=0))
             j = idx[np.argmax(r[idx] ** 2 / norms)]
-        g = (-T[:, j] if at_upper[j] else T[:, j])
+        # a positive reduced cost enters downward
+        g = (-T[:, j] if r[j] > 0 else T[:, j])
         ratios = np.full(m, math.inf)
         pos = g > ptol
+        if open_below is not None:
+            pos &= ~open_below[basis]
         ratios[pos] = np.maximum(xB[pos], 0.0) / g[pos]
         ub = upper[basis]
         neg = (g < -ptol) & np.isfinite(ub)
         ratios[neg] = np.maximum(ub[neg] - xB[neg], 0.0) / -g[neg]
         row_min = ratios.min() if m else math.inf
-        t_own = upper[j]
+        t_own = math.inf if open_below is not None and open_below[j] else upper[j]
         if math.isfinite(t_own) and t_own <= row_min:
             at_upper[j] = not at_upper[j]
             stall = 0 if t_own > 1e-12 else stall + 1
@@ -240,7 +220,7 @@ def _run(T, Tb, basis, in_basis, at_upper, upper, c, allow, maxiter,
 
 
 def solve_lp(model: OptimizationModel | CompiledModel, *,
-             maxiter: int = 50000, keep_tableau: bool = False,
+             keep_tableau: bool = False,
              time_limit: float | None = None) -> SimplexResult:
     """Solve the linear relaxation of `model` (integrality is ignored).
 
@@ -255,22 +235,27 @@ def solve_lp(model: OptimizationModel | CompiledModel, *,
     cm = compile_model(model)
     if any(cm.quad):
         raise ModelError("quadratic objective passed to the LP solver")
-    transforms, A, b, c, u, const, flips = _standard_form(cm)
+    rest, A, b, upper, const, flips = _standard_form(cm)
     m, nreal = A.shape
+    n = nreal + m
     T = np.hstack([A, np.eye(m)])
     Tb = b.copy()
-    n = nreal + m
-    upper = np.concatenate([u, np.full(m, math.inf)])
+    upper = np.array(upper + [math.inf] * m)
     basis = np.arange(nreal, n)
     in_basis = np.zeros(n, dtype=bool)
     in_basis[basis] = True
     at_upper = np.zeros(n, dtype=bool)
     allow = np.zeros(n, dtype=bool)
     allow[:nreal] = upper[:nreal] > 0
+    open_below = None
+    if -math.inf in cm.lower:
+        open_below = np.isinf(np.array(cm.lower + (0.0,) * (n - rest.size)))
+        allow |= open_below
+        at_upper |= open_below & np.isfinite(upper)
 
     c1 = np.concatenate([np.zeros(nreal), np.ones(m)])
-    status, it1 = _run(T, Tb, basis, in_basis, at_upper, upper, c1, allow,
-                       maxiter, deadline)
+    status, it1 = _run(T, Tb, basis, in_basis, at_upper, upper, open_below, c1,
+                       allow, deadline)
     if status in (ITERATION_LIMIT, TIME_LIMIT):
         return SimplexResult(status, None, None, None, it1)
     xB = _basic_values(T, Tb, at_upper, upper)
@@ -279,32 +264,31 @@ def solve_lp(model: OptimizationModel | CompiledModel, *,
         return SimplexResult(INFEASIBLE, None, None, None, it1)
     upper[nreal:] = 0.0
 
-    c2 = np.concatenate([c, np.zeros(m)])
-    status, it2 = _run(T, Tb, basis, in_basis, at_upper, upper, c2, allow,
-                       maxiter, deadline)
+    c2 = np.concatenate([np.array(cm.cost), np.zeros(n - rest.size)])
+    status, it2 = _run(T, Tb, basis, in_basis, at_upper, upper, open_below, c2,
+                       allow, deadline)
     iters = it1 + it2
     if status != OPTIMAL:
         return SimplexResult(status, None, None, None, iters)
 
     x_full = np.where(at_upper & np.isfinite(upper), upper, 0.0)
     x_full[basis] = _basic_values(T, Tb, at_upper, upper)
-    x: dict[str, float] = {}
-    for v, (kind, col, off) in zip(cm.variables, transforms):
-        if kind == "shift":
-            x[v.name] = float(x_full[col] + off)
-        elif kind == "negate":
-            x[v.name] = float(off - x_full[col])
-        else:
-            x[v.name] = float(x_full[col] - x_full[col + 1])
     y = c2[basis] @ T[:, nreal:] if m else np.zeros(0)
     duals = {row.name: float(y[i] * flips[i])
              for i, row in enumerate(cm.constraints)}
-    obj = float(c2 @ x_full + const)
+    names = [v.name for v in cm.variables]
     tableau = None
     if keep_tableau:
-        tableau = Tableau(cm, transforms, T, Tb, basis, in_basis, at_upper,
-                          upper, c2, allow, const)
-    return SimplexResult(OPTIMAL, x, obj, duals, iters, tableau)
+        tableau = Tableau(names, rest, T, Tb, basis, in_basis, at_upper, upper,
+                          c2, allow, const)
+    return _optimum(names, rest, x_full, c2, const, iters, duals, tableau)
+
+
+def _optimum(names, rest, x_full, cost, const, iters, duals=None, tableau=None):
+    """The optimal result at column values `x_full`, measured from `rest`."""
+    x = dict(zip(names, (x_full[:rest.size] + rest).tolist()))
+    return SimplexResult(OPTIMAL, x, float(cost @ x_full + const), duals, iters,
+                         tableau)
 
 
 def _basic_values(T, Tb, at_upper, upper):
@@ -317,49 +301,35 @@ def _basic_values(T, Tb, at_upper, upper):
 class Tableau:
     """An optimal tableau that `resolve` reoptimizes under new bounds.
 
-    Columns keep the coordinates of the standard form the tableau was
-    built in: l <= x_j <= u becomes l - lo <= x' <= u - lo on a column
-    shifted by its lower bound lo, and hi - u <= x' <= hi - l on one
-    negated about its upper bound hi.
+    Its columns keep the measure of the solve that built it, x' = x -
+    rest, so model bounds l <= x <= u become l - rest <= x' <= u - rest.
     """
 
-    def __init__(self, cm: CompiledModel, transforms, T, Tb, basis, in_basis,
-                 at_upper, upper, cost, allow, const):
-        self.names = [v.name for v in cm.variables]
+    def __init__(self, names, rest, T, Tb, basis, in_basis, at_upper, upper,
+                 cost, allow, const):
+        self.names, self.rest = names, rest
         self.T, self.Tb, self.basis = T, Tb, basis
         self.in_basis, self.at_upper = in_basis, at_upper
         self.upper, self.cost, self.allow, self.const = upper, cost, allow, const
         self.r = cost - cost[basis] @ T
         self.ctol = 1e-9 * (1.0 + (np.abs(cost).max() if cost.size else 0.0))
-        by_kind = {kind: [] for kind in ("shift", "negate", "split")}
-        for j, (kind, col, off) in enumerate(transforms):
-            by_kind[kind].append((j, col, off))
-        self.kinds = {
-            kind: (np.array([t[0] for t in cols], dtype=int),
-                   np.array([t[1] for t in cols], dtype=int),
-                   np.array([t[2] for t in cols], dtype=float))
-            for kind, cols in by_kind.items()}
 
-    def resolve(self, lower, upper) -> SimplexResult | None:
+    def resolve(self, lower, upper,
+                time_limit: float | None = None) -> SimplexResult | None:
         """Reoptimize under model column bounds `lower`/`upper`.
 
         Returns None where this tableau cannot answer and a cold solve
-        must: a bound on a split free column, a column whose reduced cost
-        points at an infinite bound, or a dual loop out of iterations.
+        must: a nonbasic column with no finite bound, or whose reduced
+        cost points at an infinite one, or a dual loop out of iterations.
+        Once `time_limit` (seconds) has run out, the dual loop stops
+        before its next pivot with `time_limit`.
         """
-        L = np.asarray(lower, dtype=float)
-        U = np.asarray(upper, dtype=float)
-        j, col, _ = self.kinds["split"]
-        if np.isfinite(L[j]).any() or np.isfinite(U[j]).any():
-            return None
+        deadline = None if time_limit is None else time.perf_counter() + time_limit
+        n = self.rest.size
         lo = np.zeros(self.upper.size)
         up = self.upper.copy()
-        j, col, off = self.kinds["shift"]
-        lo[col] = L[j] - off
-        up[col] = U[j] - off
-        j, col, off = self.kinds["negate"]
-        lo[col] = off - U[j]
-        up[col] = off - L[j]
+        lo[:n] = np.asarray(lower, dtype=float) - self.rest
+        up[:n] = np.asarray(upper, dtype=float) - self.rest
 
         # A column fixed (l = u) by an earlier solve could not enter its
         # ratio tests, so its reduced cost may now disagree with the bound
@@ -368,32 +338,30 @@ class Tableau:
         r, at_upper = self.r, self.at_upper
         movable = self.allow & ~self.in_basis & (up > lo)
         to_upper = movable & (r < -self.ctol)
+        to_lower = movable & (r > self.ctol)
+        open_below = np.isinf(lo)
+        if open_below.any():
+            # a column open below can sit only at its upper bound
+            if open_below[to_lower].any():
+                return None
+            to_upper = to_upper | (open_below & ~self.in_basis)
         if np.isinf(up[to_upper]).any():
             return None
         at_upper[to_upper] = True
-        at_upper[movable & (r > self.ctol)] = False
+        at_upper[to_lower] = False
         at_upper &= np.isfinite(up)
 
         status, iters, x_full = _dual(self.T, self.Tb, self.basis, self.in_basis,
-                                      at_upper, lo, up, r, self.cost, self.allow,
-                                      _DUAL_MAXITER)
+                                      at_upper, lo, up, r, self.cost,
+                                      self.allow, deadline)
         if status == ITERATION_LIMIT:
             return None
         if status != OPTIMAL:
             return SimplexResult(status, None, None, None, iters)
-        values = np.empty(len(self.names))
-        j, col, off = self.kinds["shift"]
-        values[j] = x_full[col] + off
-        j, col, off = self.kinds["negate"]
-        values[j] = off - x_full[col]
-        j, col, _ = self.kinds["split"]
-        values[j] = x_full[col] - x_full[col + 1]
-        obj = float(self.cost @ x_full + self.const)
-        return SimplexResult(OPTIMAL, dict(zip(self.names, values.tolist())),
-                             obj, None, iters)
+        return _optimum(self.names, self.rest, x_full, self.cost, self.const, iters)
 
 
-def _dual(T, Tb, basis, in_basis, at_upper, lo, up, r, c, allow, maxiter):
+def _dual(T, Tb, basis, in_basis, at_upper, lo, up, r, c, allow, deadline):
     """Bounded dual simplex from a dual feasible basis.
 
     Nonbasic columns sit at `lo`, or at `up` where `at_upper`.  The basic
@@ -401,9 +369,9 @@ def _dual(T, Tb, basis, in_basis, at_upper, lo, up, r, c, allow, maxiter):
     the entering column is the one whose reduced cost reaches zero first
     as that row's dual moves (the dual ratio test), ties going to the
     largest pivot.  When no column can move the row back, the bounds are
-    infeasible.  `r` holds the reduced costs and is kept current.
-    Returns the status, the pivot count and, if optimal, every column's
-    value.
+    infeasible.  `r` holds the reduced costs and is kept current.  The
+    deadline is checked before every pivot.  Returns the status, the
+    pivot count and, if optimal, every column's value.
     """
     m = T.shape[0]
     sparse = T.size >= _SPARSE_MIN_CELLS
@@ -420,8 +388,10 @@ def _dual(T, Tb, basis, in_basis, at_upper, lo, up, r, c, allow, maxiter):
         rr = int(np.argmax(viol)) if m else 0
         if not m or viol[rr] <= 1e-9 * (1.0 + np.abs(xB).max()):
             return OPTIMAL, iters, x
-        if iters >= maxiter:
+        if iters >= _DUAL_MAXITER:
             return ITERATION_LIMIT, iters, None
+        if deadline is not None and time.perf_counter() >= deadline:
+            return TIME_LIMIT, iters, None
         to_lower = below[rr] > 0.0
         # how far row rr moves toward its broken bound per unit step of
         # each column away from its own bound

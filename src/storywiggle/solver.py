@@ -135,7 +135,12 @@ def _solve_external(model: OptimizationModel, config: SolverConfig) -> SolveResu
             raise ModelError(
                 f"external solver failed ({proc.returncode}): {proc.stderr.strip()}")
         with open(sol_path, "r", encoding="utf-8") as fh:
-            return _parse_solution(fh.read())
+            result = _parse_solution(fh.read())
+    if result.assignment is not None:
+        missing = set(model.variable_names()) - result.assignment.keys()
+        if missing:
+            raise ModelError(f"solution file has no value for {min(missing)}")
+    return result
 
 
 def _parse_solution(text: str) -> SolveResult:
@@ -146,12 +151,16 @@ def _parse_solution(text: str) -> SolveResult:
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "status":
-            status = _STATUS[parts[1]]
-        elif parts[0] == "objective":
-            objective = float(parts[1])
-        else:
-            assignment[parts[0]] = float(parts[1])
+        try:
+            key, value = parts
+            if key == "status":
+                status = _STATUS[value]
+            elif key == "objective":
+                objective = float(value)
+            else:
+                assignment[key] = float(value)
+        except (KeyError, ValueError):
+            raise ModelError(f"bad solution line {line!r}") from None
     if status is None:
         raise ModelError("solution file has no status line")
     if status is not SolveStatus.OPTIMAL:

@@ -124,7 +124,7 @@ class TestHandCases:
 
         model, warm = wc_model(6, 6, 11)
         with mock.patch("storywiggle.branch_bound.solve_lp", spy), \
-                mock.patch.object(Tableau, "resolve", lambda *a: None):
+                mock.patch.object(Tableau, "resolve", lambda *a, **kw: None):
             r = solve_ilp(model, warm=(warm,), time_limit=60.0)
         assert r.status == "optimal" and r.objective == EASY_WC[11]
         assert len(seen) == r.nodes > 1
@@ -165,11 +165,11 @@ class TestHandCases:
         assert r.status == "optimal" and r.x == {"x": 2.0}
 
     @pytest.mark.parametrize("lower, upper, row, sense, rhs, cost, want", [
-        # negated column at the root, shifted once x >= -2
+        # upper-only column at the root, bounded below once v >= -2
         (-math.inf, 5.0, 2.0, GE, -5.0, 1.0, -2.0),
-        # split column at the root, negated once y <= 2
+        # free column at the root, upper-only once v <= 2
         (-math.inf, math.inf, 2.0, LE, 5.0, -1.0, 2.0),
-        # split column at the root, shifted once y >= -2
+        # free column at the root, bounded below once v >= -2
         (-math.inf, math.inf, 2.0, GE, -5.0, 1.0, -2.0),
     ])
     def test_node_bounds_change_column_transform(self, lower, upper, row,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from storywiggle import pipeline as pipeline_mod
 from storywiggle.cli import main as cli_main
 from storywiggle.generate import generate_instance
-from storywiggle.instance import instance_to_dict
+from storywiggle.instance import compute_metrics, instance_to_dict
 from storywiggle.oracle import OracleLimitError
 from storywiggle.pipeline import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_MISMATCH,
                                   EXIT_OK, EXIT_TIME, OBJECTIVES, RunConfig,
@@ -145,6 +145,16 @@ def test_wc_layouts_are_integral(seed):
         inst, params, "wc", SolverConfig(backend="builtin"))
     assert status is SolveStatus.OPTIMAL
     assert all(abs(y - round(y)) <= 1e-9 for _, y in coord.items())
+
+
+def test_wc_layout_is_exact():
+    # the simplex left this layout's height at 5.999999999999999
+    inst, params = generate_instance(6, 6, seed=71, meeting_prob=0.5)
+    status, coord, _, _ = pipeline_mod._solve_objective(
+        inst, params, "wc", SolverConfig(backend="builtin"))
+    assert status is SolveStatus.OPTIMAL
+    assert compute_metrics(inst, coord).as_report()["totalHeight"] == 6.0
+    assert all(y == round(y) for _, y in coord.items())
 
 
 class TestInputErrors:
@@ -297,6 +307,18 @@ class TestSolverOutcomes:
                 time_limit=0.05)
         assert r.exit_code == EXIT_TIME
         assert r.metrics["solverStatus"] == "time_limit"
+
+    @pytest.mark.parametrize("text, message", [
+        ("status weird\n", "bad solution line"),
+        ("status optimal\ny_t1_c0\n", "bad solution line"),
+        ("status optimal\ny_t1_c0 abc\n", "bad solution line"),
+        ("status optimal\nobjective 1\n", "no value for")])
+    def test_malformed_solution_exits_two(self, tmp_path, text, message):
+        script = tmp_path / "fake_solver.py"
+        script.write_text(f"import sys\nopen(sys.argv[2], 'w').write({text!r})\n")
+        r = run(tmp_path, CROSSING, objective="lwh",
+                backend=f"external:{sys.executable} {script}")
+        assert r.exit_code == EXIT_INPUT and message in r.message
 
     def test_routing_failure_exits_two(self, tmp_path):
         # wc-unrestricted needs no solver, so the first model this backend

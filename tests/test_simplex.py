@@ -170,22 +170,47 @@ class TestTableau:
                   [LinearConstraint("r", (("x", 1.0), ("y", 1.0)), LE, 3.0)],
                   {"x": -1.0, "y": -2.0})
 
+    def open_box(self):
+        # min -x - 2y  s.t.  x + y <= 3,  y - x <= 1,  x <= 2, y free:
+        # optimum x=1, y=2
+        return lp([Variable("x", -math.inf, 2.0),
+                   Variable("y", -math.inf, math.inf)],
+                  [LinearConstraint("r", (("x", 1.0), ("y", 1.0)), LE, 3.0),
+                   LinearConstraint("s", (("y", 1.0), ("x", -1.0)), LE, 1.0)],
+                  {"x": -1.0, "y": -2.0})
+
     def test_resolve_matches_cold_solves(self):
-        model = self.box()
-        tab = simplex.solve_lp(model, keep_tableau=True).tableau
-        cases = [((0.0, 0.0), (2.0, 1.0)),         # y capped
-                 ((0.0, 0.0), (0.5, 2.0)),         # x capped: one pivot
-                 ((2.0, 2.0), (2.0, 2.0)),         # infeasible
-                 ((0.0, 0.0), (0.0, 2.0)),         # x fixed at 0
-                 ((0.0, 0.0), (2.0, 2.0))]         # the root's bounds again
-        for lower, upper in cases:
-            warm = tab.resolve(lower, upper)
-            cold = solve_lp(replace(compile_model(model),
-                                    lower=lower, upper=upper))
-            assert warm.status == cold.status
-            if cold.status == "optimal":
-                assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
-                assert warm.x == pytest.approx(cold.x, abs=1e-12)
+        inf = math.inf
+        box_cases = [((0.0, 0.0), (2.0, 1.0)),     # y capped
+                     ((0.0, 0.0), (0.5, 2.0)),     # x capped: one pivot
+                     ((2.0, 2.0), (2.0, 2.0)),     # infeasible
+                     ((0.0, 0.0), (0.0, 2.0)),     # x fixed at 0
+                     ((0.0, 0.0), (2.0, 2.0))]     # the root's bounds again
+        open_cases = [((-inf, -inf), (0.5, inf)),  # upper-only x capped
+                      ((-inf, -inf), (-1.0, inf)),
+                      ((-inf, 2.5), (2.0, inf)),   # infeasible
+                      ((0.0, -inf), (2.0, inf)),   # x bounded below
+                      ((-inf, -inf), (2.0, inf)),  # the root's bounds again
+                      ((-inf, 0.0), (2.0, 1.0))]   # free y boxed
+        for model, cases in ((self.box(), box_cases),
+                             (self.open_box(), open_cases)):
+            tab = simplex.solve_lp(model, keep_tableau=True).tableau
+            for lower, upper in cases:
+                warm = tab.resolve(lower, upper)
+                cold = solve_lp(replace(compile_model(model),
+                                        lower=lower, upper=upper))
+                assert warm.status == cold.status
+                if cold.status == "optimal":
+                    assert warm.objective == pytest.approx(cold.objective,
+                                                           abs=1e-12)
+                    assert warm.x == pytest.approx(cold.x, abs=1e-12)
+
+    def test_resolve_stops_at_a_zero_budget(self):
+        tab = simplex.solve_lp(self.box(), keep_tableau=True).tableau
+        r = tab.resolve((0.0, 0.0), (0.5, 2.0), time_limit=0.0)  # needs a pivot
+        assert r.status == "time_limit" and r.x is None
+        assert tab.resolve((0.0, 0.0), (2.0, 2.0), time_limit=0.0).x == \
+            pytest.approx({"x": 1.0, "y": 2.0})             # needs none
 
     def test_resolve_defers_what_it_cannot_answer(self):
         tab = simplex.solve_lp(self.box(), keep_tableau=True).tableau
@@ -194,7 +219,10 @@ class TestTableau:
         free = lp([Variable("x", -math.inf, math.inf)],
                   [LinearConstraint("r", (("x", 1.0),), GE, -1.0)], {"x": 1.0})
         tab = simplex.solve_lp(free, keep_tableau=True).tableau
-        assert tab.resolve((0.0,), (math.inf,)) is None     # split column
+        warm = tab.resolve((0.0,), (math.inf,))           # free column bounded
+        cold = solve_lp(replace(compile_model(free), lower=(0.0,)))
+        assert (warm.status, warm.x, warm.objective) == \
+            (cold.status, cold.x, cold.objective)
         # x, fixed at 0, leaves at its upper bound with a negative reduced
         # cost; freed again, the bound its cost asks for is infinite
         row = lp([Variable("x", 0.0, math.inf), Variable("y", 0.0, math.inf)],

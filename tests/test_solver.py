@@ -171,6 +171,14 @@ class TestLpsolveCli:
         assert lpsolve_main(["only_one.lp"]) == 2
         assert "usage" in capsys.readouterr().err
 
+    def test_bad_input_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.lp"
+        bad.write_text("this is not an lp file\n")
+        out = str(tmp_path / "out.sol")
+        assert lpsolve_main([str(tmp_path / "missing.lp"), out]) == 2
+        assert lpsolve_main([str(bad), out]) == 2
+        assert capsys.readouterr().err.count("lpsolve: ") == 2
+
     def test_solves_file(self, tmp_path):
         from storywiggle.lp_format import write_lp
         lp = tmp_path / "m.lp"
