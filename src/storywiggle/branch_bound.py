@@ -25,31 +25,26 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .programs import (ModelError, OptimizationModel, compile_model,
-                       model_violations, objective_value)
-from .simplex import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED, solve_lp
-
-NODE_LIMIT = "node_limit"
-TIME_LIMIT = "time_limit"
+from .programs import (ModelError, OptimizationModel, SolveResult, SolveStatus,
+                       compile_model, model_violations, objective_value)
+from .simplex import solve_lp
 
 _RESORT_EVERY = 10000
+_NODE_LIMIT = 200000
 
 
-@dataclass
-class BnbResult:
-    status: str
-    x: dict[str, float] | None
-    objective: float | None
-    best_bound: float
-    nodes: int
-
-    @property
-    def gap(self) -> float:
-        if self.objective is None or not math.isfinite(self.best_bound):
-            return math.inf
-        return (self.objective - self.best_bound) / max(1.0, abs(self.objective))
+def _result(status: SolveStatus, inc_x: dict[str, float] | None, inc_obj: float,
+            best_bound: float, nodes: int) -> SolveResult:
+    """The search's result, with a gap of inf unless both ends are finite."""
+    objective = inc_obj if inc_x is not None else None
+    if objective is None or not math.isfinite(best_bound):
+        gap = math.inf
+    else:
+        gap = (objective - best_bound) / max(1.0, abs(objective))
+    return SolveResult(status, inc_x, objective, best_bound, gap,
+                       stats={"nodes": nodes})
 
 
 def _rounded(x: dict[str, float], int_names: list[str]) -> dict[str, float]:
@@ -61,14 +56,14 @@ def _rounded(x: dict[str, float], int_names: list[str]) -> dict[str, float]:
 
 def solve_ilp(model: OptimizationModel, *,
               warm: tuple[dict[str, float], ...] = (),
-              node_limit: int = 200000,
-              time_limit: float | None = None) -> BnbResult:
+              time_limit: float | None = None) -> SolveResult:
     """Minimize `model` with its integrality constraints enforced.
 
     `warm` holds candidate assignments; feasible integral ones seed the
-    incumbent.  `time_limit` bounds the whole search: it is checked
-    between nodes, and each node LP, warm or cold, gets the time left;
-    the search ends with `time_limit` as soon as one of them stops.
+    incumbent.  The search ends with `node_limit` once it has explored
+    `_NODE_LIMIT` nodes.  `time_limit` bounds the whole search: it is
+    checked between nodes, and each node LP, warm or cold, gets the time
+    left; the search ends with `time_limit` as soon as one of them stops.
     """
     cm = compile_model(model)
     if any(cm.quad):
@@ -93,16 +88,16 @@ def solve_ilp(model: OptimizationModel, *,
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     stack = [(cm.lower, cm.upper, -math.inf)]     # bounds, parent's bound
     nodes = 0
-    status = OPTIMAL
+    status = SolveStatus.OPTIMAL
     live = None             # the root's tableau, reoptimized at later nodes
     while stack:
         if nodes and nodes % _RESORT_EVERY == 0:
             stack.sort(key=lambda nd: -nd[2])
-        if nodes >= node_limit:
-            status = NODE_LIMIT
+        if nodes >= _NODE_LIMIT:
+            status = SolveStatus.NODE_LIMIT
             break
         if deadline is not None and time.monotonic() > deadline:
-            status = TIME_LIMIT
+            status = SolveStatus.TIME_LIMIT
             break
         lower, upper, parent_bound = stack.pop()
         if parent_bound >= inc_obj - 1e-9:
@@ -116,12 +111,11 @@ def solve_ilp(model: OptimizationModel, *,
             lp = (live.resolve(lower, upper, time_limit=left)
                   or solve_lp(replace(cm, lower=lower, upper=upper),
                               time_limit=left))
-        if lp.status == INFEASIBLE:
+        if lp.status is SolveStatus.INFEASIBLE:
             continue
-        if lp.status == UNBOUNDED:
-            return BnbResult(UNBOUNDED, inc_x, inc_obj if inc_x else None,
-                             -math.inf, nodes)
-        if lp.status in (ITERATION_LIMIT, TIME_LIMIT):
+        if lp.status is SolveStatus.UNBOUNDED:
+            return _result(SolveStatus.UNBOUNDED, inc_x, inc_obj, -math.inf, nodes)
+        if lp.status in (SolveStatus.ITERATION_LIMIT, SolveStatus.TIME_LIMIT):
             status = lp.status
             stack.append((lower, upper, parent_bound))
             break
@@ -146,9 +140,9 @@ def solve_ilp(model: OptimizationModel, *,
             stack.append((lower, upper[:j] + (floor,) + upper[j + 1:], lp.objective))
 
     open_bounds = [pb for _, _, pb in stack]
-    if status == OPTIMAL:
+    if status is SolveStatus.OPTIMAL:
         if inc_x is None:
-            return BnbResult(INFEASIBLE, None, None, math.inf, nodes)
-        return BnbResult(OPTIMAL, inc_x, inc_obj, inc_obj, nodes)
+            return _result(SolveStatus.INFEASIBLE, None, inc_obj, math.inf, nodes)
+        return _result(status, inc_x, inc_obj, inc_obj, nodes)
     best_bound = min(open_bounds + [inc_obj]) if (open_bounds or inc_x) else -math.inf
-    return BnbResult(status, inc_x, inc_obj if inc_x else None, best_bound, nodes)
+    return _result(status, inc_x, inc_obj, best_bound, nodes)

@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--routing-report", default=None, metavar="PATH",
                         help="write the per-gap routing report here")
     parser.add_argument("--time-limit", type=float, default=None,
-                        help="solver time limit in seconds")
+                        help="non-negative solver time limit in seconds")
     parser.add_argument("--oracle", action="store_true",
                         help="cross-check the optimum against the "
                              "exhaustive reference (small instances only)")

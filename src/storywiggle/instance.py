@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
+
+_ZERO_TOL = 1e-9        # a gap difference at most this large is no wiggle
 
 
 class InstanceError(ValueError):
@@ -72,10 +74,19 @@ class StorylineInstance:
 class OrderedStorylineInstance(StorylineInstance):
     orderings: tuple[tuple[str, ...], ...] = ()   # orderings[t-1], bottom to top
     _pos: tuple[dict[str, int], ...] = field(init=False, repr=False, compare=False)
+    _meeting: tuple[dict[str, Meeting], ...] = field(init=False, repr=False,
+                                                     compare=False)
 
     def __post_init__(self) -> None:
         pos = tuple({c: i for i, c in enumerate(o)} for o in self.orderings)
+        meeting: tuple[dict[str, Meeting], ...] = tuple({} for _ in pos)
+        for m in self.meetings:
+            # out-of-range steps are left to validate_instance to report
+            if 1 <= m.time_step <= len(meeting):
+                for c in m.members:
+                    meeting[m.time_step - 1].setdefault(c, m)
         object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_meeting", meeting)
 
     def ordering_at(self, t: int) -> tuple[str, ...]:
         if not 1 <= t <= self.time_steps:
@@ -87,10 +98,8 @@ class OrderedStorylineInstance(StorylineInstance):
         return self._pos[t - 1][c]
 
     def meeting_of(self, t: int, c: str) -> Meeting | None:
-        for m in self.meetings_at(t):
-            if c in m.members:
-                return m
-        return None
+        """The first meeting at step t that c belongs to, if any."""
+        return self._meeting[t - 1].get(c)
 
 
 @dataclass(frozen=True)
@@ -227,11 +236,10 @@ def is_valid(inst: OrderedStorylineInstance, coord: Coordination) -> bool:
     return True
 
 
-def compute_metrics(inst: StorylineInstance, coord: Coordination,
-                    zero_tol: float = 1e-9) -> LayoutMetrics:
+def compute_metrics(inst: StorylineInstance, coord: Coordination) -> LayoutMetrics:
     """Wiggle count, linear and quadratic wiggle height, and total height.
 
-    Differences with magnitude at most ``zero_tol`` count as zero in all
+    Differences with magnitude at most ``_ZERO_TOL`` count as zero in all
     three wiggle metrics, so the zero sets of the metrics agree even on
     solver output with floating-point noise.
     """
@@ -241,7 +249,7 @@ def compute_metrics(inst: StorylineInstance, coord: Coordination,
     for t in inst.gaps():
         for c in inst.shared_at_gap(t):
             d = coord.y(t, c) - coord.y(t + 1, c)
-            if abs(d) > zero_tol:
+            if abs(d) > _ZERO_TOL:
                 wc += 1
                 lwh += abs(d)
                 qwh += d * d
@@ -416,11 +424,15 @@ def parse_instance(text: str) -> tuple[OrderedStorylineInstance, NicenessParams]
     params_doc = doc.get("params", {})
     if not isinstance(params_doc, dict):
         raise InstanceFormatError("params: expected an object")
-    delta = params_doc.get("delta", 1.0)
-    delta_bar = params_doc.get("deltaBar", 1.0)
-    for key, val in (("delta", delta), ("deltaBar", delta_bar)):
+    spacing = []
+    for key in ("delta", "deltaBar"):
+        val = params_doc.get(key, 1.0)
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise InstanceFormatError(f"params.{key}: expected a number")
+        try:
+            spacing.append(float(val))
+        except OverflowError:       # an integer beyond the float range
+            raise InstanceFormatError(f"params.{key}: number out of range") from None
 
     inst = OrderedStorylineInstance(
         characters=tuple(ids),
@@ -431,8 +443,7 @@ def parse_instance(text: str) -> tuple[OrderedStorylineInstance, NicenessParams]
         orderings=tuple(orderings),
     )
     validate_instance(inst)
-    params = NicenessParams(float(delta), float(delta_bar))
-    return inst, params
+    return inst, NicenessParams(*spacing)
 
 
 def load_instance(path: str) -> tuple[OrderedStorylineInstance, NicenessParams]:

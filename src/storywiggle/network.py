@@ -44,11 +44,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .programs import EQ, GE, LE, CompiledModel
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-TIME_LIMIT = "time_limit"
+from .programs import EQ, GE, LE, CompiledModel, SolveResult, SolveStatus
 
 _REL_TOL = 1e-9          # contradiction between contracted rows, relative
 _PRICE_TOL = 1e-11       # reduced cost that still counts as zero, relative
@@ -64,16 +60,6 @@ class DifferenceForm:
 
     diffs: tuple[tuple[int, int, str, float], ...]
     pairs: tuple[tuple[int, int, int], ...]
-
-
-@dataclass
-class NetworkResult:
-    status: str
-    x: dict[str, float] | None
-    objective: float | None
-    iterations: int
-    degenerate_pivots: int
-    duals: None = None
 
 
 def difference_form(cm: CompiledModel) -> DifferenceForm | None:
@@ -242,7 +228,7 @@ def _contract(cm: CompiledModel, form: DifferenceForm,
 
 
 def solve_network(cm: CompiledModel, form: DifferenceForm, *,
-                  time_limit: float | None = None) -> NetworkResult:
+                  time_limit: float | None = None) -> SolveResult:
     """Minimize a model in difference form (see the module docstring).
 
     Once `time_limit` (seconds) has run out, the solve stops before its
@@ -255,16 +241,17 @@ def solve_network(cm: CompiledModel, form: DifferenceForm, *,
         j for j in range(len(cm.variables)) if j not in w_cols)}
     net = _contract(cm, form, node)
     if net is None:
-        return NetworkResult(INFEASIBLE, None, None, 0, 0)
+        return SolveResult(SolveStatus.INFEASIBLE)
     status, pot, iterations, degenerate = _simplex(net, deadline)
-    if status != OPTIMAL:
-        return NetworkResult(status, None, None, iterations, degenerate)
+    stats = {"iterations": iterations, "degenerate_pivots": degenerate}
+    if status is not SolveStatus.OPTIMAL:
+        return SolveResult(status, stats=stats)
     level = {j: pot[net.block[v]] + net.off[v] for j, v in node.items()}
     for w, a, b in form.pairs:
         level[w] = abs(level[a] - level[b])
     x = {v.name: level[j] for j, v in enumerate(cm.variables)}
     objective = sum(c * level[j] for j, c in enumerate(cm.cost) if c)
-    return NetworkResult(OPTIMAL, x, objective, iterations, degenerate)
+    return SolveResult(SolveStatus.OPTIMAL, x, objective, stats=stats)
 
 
 def _simplex(net: _Network, deadline: float | None):
@@ -316,7 +303,7 @@ def _simplex(net: _Network, deadline: float | None):
     m = len(tail)
 
     if deadline is not None and time.perf_counter() >= deadline:
-        return TIME_LIMIT, None, 0, 0
+        return SolveStatus.TIME_LIMIT, None, 0, 0
     block = max(10, int(math.sqrt(m)))
     nxt = 0
     iterations = degenerate = 0
@@ -337,10 +324,10 @@ def _simplex(net: _Network, deadline: float | None):
             if e_in >= 0:
                 break
         if e_in < 0:
-            return OPTIMAL, pot, iterations, degenerate
+            return SolveStatus.OPTIMAL, pot, iterations, degenerate
         nxt = pos
         if deadline is not None and time.perf_counter() >= deadline:
-            return TIME_LIMIT, None, iterations, degenerate
+            return SolveStatus.TIME_LIMIT, None, iterations, degenerate
         iterations += 1
 
         # flow goes first -> second on the entering arc, then back up
@@ -376,7 +363,7 @@ def _simplex(net: _Network, deadline: float | None):
             x = parent[x]
         if theta == inf:
             # a cycle of rows that can carry any flow: they contradict
-            return INFEASIBLE, None, iterations, degenerate
+            return SolveStatus.INFEASIBLE, None, iterations, degenerate
         if theta > 0.0:
             flow[e_in] += theta if rising else -theta
             x = second

@@ -26,8 +26,8 @@ from .programs import (ModelError, assignment_from_coordination, big_y,
                        build_lwh_program, build_qwh_program, build_wc_program,
                        extract_coordination, objective_value)
 from .render import RenderStyle, render_svg
-from .routing import RoutingPlan, route_all_gaps
-from .solver import SolveStatus, SolverConfig, solve_model
+from .routing import route_all_gaps
+from .solver import SolveStatus, SolverConfig, default_backend, solve_model
 from .wigglefree import max_wiggle_free_set, unrestricted_wc_min
 
 EXIT_OK = 0
@@ -69,10 +69,8 @@ class PipelineResult:
 
 
 def _solver_config(config: RunConfig) -> SolverConfig:
-    kwargs = {"time_limit": config.time_limit}
-    if config.backend is not None:
-        kwargs["backend"] = config.backend
-    return SolverConfig(**kwargs)
+    backend = default_backend() if config.backend is None else config.backend
+    return SolverConfig(backend, config.time_limit)
 
 
 def _solve_objective(inst: OrderedStorylineInstance, params: NicenessParams,
@@ -115,35 +113,30 @@ def _solve_objective(inst: OrderedStorylineInstance, params: NicenessParams,
             lwh_model, lwh_index = build_lwh_program(inst, params)
             lwh_result = solve_model(lwh_model, solver_config)
             if lwh_result.status is SolveStatus.OPTIMAL:
-                lwh_coord = extract_coordination(lwh_index,
-                                                 lwh_result.assignment)
+                lwh_coord = extract_coordination(lwh_index, lwh_result.x)
         if lwh_coord is not None:
             warm.append(assignment_from_coordination(model, index, lwh_coord))
         result = solve_model(model, solver_config, warm=tuple(warm))
-        if result.assignment is not None:
+        if result.x is not None:
             # integral spacing keeps y and h integral at every vertex (see
             # build_wc_program): drop the simplex's rounding
-            exact = {**result.assignment,
-                     **{v: float(round(result.assignment[v]))
+            exact = {**result.x,
+                     **{v: float(round(result.x[v]))
                         for v in (*index.y.values(), index.h) if v}}
             value = objective_value(model, exact)
             proven = result.status is SolveStatus.OPTIMAL
-            result = replace(result, assignment=exact, objective=value,
+            result = replace(result, x=exact, objective=value,
                              best_bound=value if proven else result.best_bound)
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
     # non-finite bounds (nothing explored yet) become null in the JSON
-    if result.best_bound is not None:
-        extras["bestBound"] = result.best_bound \
-            if math.isfinite(result.best_bound) else None
-    if result.gap is not None:
-        extras["gap"] = result.gap if math.isfinite(result.gap) else None
+    for key, value in (("bestBound", result.best_bound), ("gap", result.gap)):
+        if value is not None:
+            extras[key] = value if math.isfinite(value) else None
     extras["solveSeconds"] = result.stats.get("solve_seconds", 0.0)
-    if result.status is SolveStatus.OPTIMAL or result.assignment is not None:
-        coord = extract_coordination(index, result.assignment)
-        return result.status, coord, result.objective, extras
-    return result.status, None, result.objective, extras
+    coord = None if result.x is None else extract_coordination(index, result.x)
+    return result.status, coord, result.objective, extras
 
 
 def _oracle_check(inst: OrderedStorylineInstance, params: NicenessParams,
@@ -245,6 +238,9 @@ def _load(config: RunConfig) -> tuple[OrderedStorylineInstance, NicenessParams]:
     inst, params = load_instance(config.input_path)
     if config.r_min is not None and not 0 < config.r_min < math.inf:
         raise ValueError(f"rmin must be finite and positive, got {config.r_min}")
+    # nan fails every deadline comparison, so it would never stop a solve
+    if config.time_limit is not None and not config.time_limit >= 0:
+        raise ValueError(f"time limit must be non-negative, got {config.time_limit}")
     delta = config.delta if config.delta is not None else params.delta
     delta_bar = config.delta_bar if config.delta_bar is not None else params.delta_bar
     params = NicenessParams(delta, delta_bar)

@@ -17,22 +17,33 @@ parameters, so every model is bounded.
 simplex, network simplex, QP and branch-and-bound solvers read the
 `CompiledModel`: row terms by column index, and per-column bounds, costs
 and quad weights.
+
+Every solver returns one `SolveResult`: a `SolveStatus` member, the
+assignment `x` and its `objective` (the optimum, or where a limit
+stopped), `best_bound` and relative `gap` (a continuous optimum's own
+objective and 0; for branch and bound, the least open bound and a float
+gap, inf until both are finite), `duals` and QP `kkt` residuals where a
+solver has them, its counters in `stats` (`iterations` and `nodes` are
+also attributes), and the `tableau` of `solve_lp(keep_tableau=True)`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from enum import Enum
+from typing import TYPE_CHECKING, Mapping
 
 from .instance import (
     Coordination,
-    InstanceError,
     NicenessParams,
     OrderedStorylineInstance,
     is_nice,
     neighbor_sets,
 )
+
+if TYPE_CHECKING:
+    from .simplex import Tableau
 
 LE = "<="
 GE = ">="
@@ -45,6 +56,42 @@ class ModelError(ValueError):
 
 class ExtractionError(RuntimeError):
     """A solver returned an assignment that is not a nice coordination."""
+
+
+class SolveStatus(str, Enum):
+    OPTIMAL = "optimal"
+    INFEASIBLE = "infeasible"
+    UNBOUNDED = "unbounded"
+    ITERATION_LIMIT = "iteration_limit"
+    NODE_LIMIT = "node_limit"
+    TIME_LIMIT = "time_limit"
+
+
+@dataclass
+class SolveResult:
+    """What every solver returns (see the module docstring)."""
+
+    status: SolveStatus
+    x: dict[str, float] | None = None
+    objective: float | None = None
+    best_bound: float | None = None
+    gap: float | None = None
+    duals: dict[str, float] | None = None
+    kkt: dict[str, float] | None = None
+    stats: dict[str, float] = field(default_factory=dict)
+    tableau: Tableau | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.status is SolveStatus.OPTIMAL and self.best_bound is None:
+            self.best_bound, self.gap = self.objective, 0.0
+
+    @property
+    def iterations(self) -> int:
+        return self.stats.get("iterations", 0)
+
+    @property
+    def nodes(self) -> int:
+        return self.stats.get("nodes", 0)
 
 
 @dataclass(frozen=True)

@@ -34,45 +34,23 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .programs import (EQ, GE, CompiledModel, ModelError, OptimizationModel,
-                       compile_model, model_violations)
-from .simplex import INFEASIBLE as LP_INFEASIBLE
-from .simplex import OPTIMAL as LP_OPTIMAL
-from .simplex import TIME_LIMIT as LP_TIME_LIMIT
+                       SolveResult, SolveStatus, compile_model, model_violations)
 from .simplex import solve_lp
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-ITERATION_LIMIT = "iteration_limit"
-TIME_LIMIT = "time_limit"
 
 _ACTIVE_TOL = 1e-8
 _MULT_TOL = 1e-8
 _STALL_LIMIT = 40
+_MAXITER = 5000
 
 
 def _rank(s: np.ndarray) -> int:
     """Numerical rank from singular values."""
     return int((s > 1e-10 * s.max(initial=1.0)).sum())
-
-
-@dataclass
-class QpResult:
-    status: str
-    x: dict[str, float] | None
-    objective: float | None
-    duals: dict[str, float] | None
-    kkt: dict[str, float] | None
-    iterations: int
-    newton_steps: int = 0   # steps along the reduced Newton direction
-    ray_steps: int = 0      # uncapped steps along a flat ray
-    zero_steps: int = 0     # releases, and the last, optimal iteration
-    null_dim: int = 0       # m_E, the dimension of the equality rows' null space
 
 
 def _build(cm: CompiledModel):
@@ -111,32 +89,34 @@ def _build(cm: CompiledModel):
 
 
 def _feasible_start(cm: CompiledModel, warm: dict[str, float] | None,
-                    time_limit: float | None) -> dict[str, float] | str:
+                    time_limit: float | None) -> dict[str, float] | SolveStatus:
     """A feasible point, or the status of the probe LP that found none."""
     if warm is not None and not model_violations(cm, warm, tol=1e-9):
         return dict(warm)
     zero = (0.0,) * len(cm.variables)
     res = solve_lp(replace(cm, cost=zero, quad=zero), time_limit=time_limit)
-    if res.status == LP_OPTIMAL:
+    if res.status is SolveStatus.OPTIMAL:
         return res.x
-    if res.status in (LP_INFEASIBLE, LP_TIME_LIMIT):
+    if res.status in (SolveStatus.INFEASIBLE, SolveStatus.TIME_LIMIT):
         return res.status
-    raise ModelError(f"feasibility probe ended with status {res.status}")
+    raise ModelError(f"feasibility probe ended with status {res.status.value}")
 
 
 def solve_qp(model: OptimizationModel, *,
              warm: dict[str, float] | None = None,
-             maxiter: int = 5000,
-             time_limit: float | None = None) -> QpResult:
+             time_limit: float | None = None) -> SolveResult:
     """Minimize the model's convex quadratic-plus-linear objective.
 
     Returns multipliers for every row (bound rows under `_lb_`/`_ub_`
     names, inequalities in their `>=` normalization) and the four KKT
     residual maxima under keys stationarity/primal/dual/complementarity.
-    A stop at `maxiter` or `time_limit` (seconds) returns the current
-    feasible iterate with the latest multipliers.  The feasibility probe
-    gets what is left of the limit, and the first deadline check comes
-    right after the one-time SVD of the equality rows.
+    `stats` splits the `iterations` into `newton_steps`, uncapped
+    `ray_steps` and `zero_steps` (releases and the optimal last one), and
+    holds `null_dim`, m_E.  A stop at `_MAXITER` iterations or at
+    `time_limit` (seconds) returns the current feasible iterate with the
+    latest multipliers.  The feasibility probe gets what is left of the
+    limit, and the first deadline check comes right after the one-time
+    SVD of the equality rows.
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     cm = compile_model(model)
@@ -144,8 +124,8 @@ def solve_qp(model: OptimizationModel, *,
     start = _feasible_start(
         cm, warm, None if deadline is None
         else max(deadline - time.perf_counter(), 0.0))
-    if isinstance(start, str):
-        return QpResult(start, None, None, None, None, 0)
+    if isinstance(start, SolveStatus):
+        return SolveResult(start)
     x0 = np.array([start[name] for name in names])
 
     # x = x0 + Ze w keeps every equality row satisfied, so the iteration
@@ -164,11 +144,16 @@ def solve_qp(model: OptimizationModel, *,
     lam_g = np.zeros(len(gnames))
     stall = 0
     bland = False
-    status = ITERATION_LIMIT
+    status = SolveStatus.ITERATION_LIMIT
     iters = newton = rays = zeros = 0
-    while iters < maxiter:
+
+    def steps():
+        return {"iterations": iters, "newton_steps": newton, "ray_steps": rays,
+                "zero_steps": zeros, "null_dim": m_e}
+
+    while iters < _MAXITER:
         if deadline is not None and time.perf_counter() >= deadline:
-            status = TIME_LIMIT
+            status = SolveStatus.TIME_LIMIT
             break
         iters += 1
         g = g0 + H @ w
@@ -191,7 +176,7 @@ def solve_qp(model: OptimizationModel, *,
             lam_g[active] = u[:, :rank] @ ((vt[:rank] @ g) / s[:rank])
             neg = [i for i in active if lam_g[i] < -_MULT_TOL]
             if not neg:
-                status = OPTIMAL
+                status = SolveStatus.OPTIMAL
                 break
             if bland:
                 drop = min(neg)
@@ -218,8 +203,7 @@ def solve_qp(model: OptimizationModel, *,
                 alpha = step
                 block = i
         if math.isinf(alpha):
-            return QpResult(UNBOUNDED, None, None, None, None, iters,
-                            newton, rays, zeros, m_e)
+            return SolveResult(SolveStatus.UNBOUNDED, stats=steps())
         w = w + alpha * p
         if block >= 0:
             active.append(block)
@@ -241,8 +225,7 @@ def solve_qp(model: OptimizationModel, *,
     duals.update({name: float(lam_g[i]) for i, name in enumerate(gnames)})
     kkt = kkt_residuals(q, c, E, eb, G, gb, x, lam_e, lam_g)
     obj = float(c @ x + (q * x) @ x / 2.0)
-    return QpResult(status, xmap, obj, duals, kkt, iters, newton, rays, zeros,
-                    m_e)
+    return SolveResult(status, xmap, obj, duals=duals, kkt=kkt, stats=steps())
 
 
 def kkt_residuals(q, c, E, eb, G, gb, x, lam_e, lam_g) -> dict[str, float]:

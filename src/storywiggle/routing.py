@@ -485,7 +485,7 @@ def route_gap(inst: OrderedStorylineInstance, coord: Coordination, t: int, *,
             raise ModelError(
                 f"gap {t} routing stage 2 ended {result.status.value}")
         for c in paired:
-            r1 = result.assignment[f"rleave_{c}"]
+            r1 = result.x[f"rleave_{c}"]
             radii[c] = (r1, spans[c] - r1)
     return GapRouting(
         gap=t,

@@ -47,33 +47,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .programs import (EQ, LE, CompiledModel, ModelError, OptimizationModel,
-                       compile_model)
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-ITERATION_LIMIT = "iteration_limit"
-TIME_LIMIT = "time_limit"
+                       SolveResult, SolveStatus, compile_model)
 
 _STALL_LIMIT = 60
 _SPARSE_MIN_CELLS = 20_000
 _DUAL_MAXITER = 1000
 _MAXITER = 50000
-
-
-@dataclass
-class SimplexResult:
-    status: str
-    x: dict[str, float] | None
-    objective: float | None
-    duals: dict[str, float] | None
-    iterations: int
-    tableau: Tableau | None = field(default=None, compare=False, repr=False)
 
 
 def _standard_form(cm: CompiledModel):
@@ -168,9 +151,9 @@ def _run(T, Tb, basis, in_basis, at_upper, upper, open_below, c, allow,
             cand |= free & ~in_basis & (r > ctol)
         idx = np.flatnonzero(cand)
         if idx.size == 0:
-            return OPTIMAL, iters
+            return SolveStatus.OPTIMAL, iters
         if iters > 1 and deadline is not None and time.perf_counter() >= deadline:
-            return TIME_LIMIT, iters
+            return SolveStatus.TIME_LIMIT, iters
         if bland:
             j = idx[0]
         else:
@@ -195,7 +178,7 @@ def _run(T, Tb, basis, in_basis, at_upper, upper, open_below, c, allow,
                 bland = True
             continue
         if not math.isfinite(row_min):
-            return UNBOUNDED, iters
+            return SolveStatus.UNBOUNDED, iters
         rows = np.flatnonzero(ratios <= row_min + 1e-12)
         if bland:
             rr = rows[np.argmin(basis[rows])]
@@ -216,12 +199,12 @@ def _run(T, Tb, basis, in_basis, at_upper, upper, open_below, c, allow,
             stall += 1
             if stall >= _STALL_LIMIT:
                 bland = True
-    return ITERATION_LIMIT, iters
+    return SolveStatus.ITERATION_LIMIT, iters
 
 
 def solve_lp(model: OptimizationModel | CompiledModel, *,
              keep_tableau: bool = False,
-             time_limit: float | None = None) -> SimplexResult:
+             time_limit: float | None = None) -> SolveResult:
     """Solve the linear relaxation of `model` (integrality is ignored).
 
     Models with a nonzero quadratic weight are rejected; zero it first if
@@ -256,20 +239,20 @@ def solve_lp(model: OptimizationModel | CompiledModel, *,
     c1 = np.concatenate([np.zeros(nreal), np.ones(m)])
     status, it1 = _run(T, Tb, basis, in_basis, at_upper, upper, open_below, c1,
                        allow, deadline)
-    if status in (ITERATION_LIMIT, TIME_LIMIT):
-        return SimplexResult(status, None, None, None, it1)
+    if status in (SolveStatus.ITERATION_LIMIT, SolveStatus.TIME_LIMIT):
+        return SolveResult(status, stats={"iterations": it1})
     xB = _basic_values(T, Tb, at_upper, upper)
     art_sum = float(xB[basis >= nreal].sum()) if m else 0.0
     if art_sum > 1e-7 * (1.0 + (abs(b).max() if m else 0.0)):
-        return SimplexResult(INFEASIBLE, None, None, None, it1)
+        return SolveResult(SolveStatus.INFEASIBLE, stats={"iterations": it1})
     upper[nreal:] = 0.0
 
     c2 = np.concatenate([np.array(cm.cost), np.zeros(n - rest.size)])
     status, it2 = _run(T, Tb, basis, in_basis, at_upper, upper, open_below, c2,
                        allow, deadline)
     iters = it1 + it2
-    if status != OPTIMAL:
-        return SimplexResult(status, None, None, None, iters)
+    if status is not SolveStatus.OPTIMAL:
+        return SolveResult(status, stats={"iterations": iters})
 
     x_full = np.where(at_upper & np.isfinite(upper), upper, 0.0)
     x_full[basis] = _basic_values(T, Tb, at_upper, upper)
@@ -287,8 +270,8 @@ def solve_lp(model: OptimizationModel | CompiledModel, *,
 def _optimum(names, rest, x_full, cost, const, iters, duals=None, tableau=None):
     """The optimal result at column values `x_full`, measured from `rest`."""
     x = dict(zip(names, (x_full[:rest.size] + rest).tolist()))
-    return SimplexResult(OPTIMAL, x, float(cost @ x_full + const), duals, iters,
-                         tableau)
+    return SolveResult(SolveStatus.OPTIMAL, x, float(cost @ x_full + const),
+                       duals=duals, stats={"iterations": iters}, tableau=tableau)
 
 
 def _basic_values(T, Tb, at_upper, upper):
@@ -315,7 +298,7 @@ class Tableau:
         self.ctol = 1e-9 * (1.0 + (np.abs(cost).max() if cost.size else 0.0))
 
     def resolve(self, lower, upper,
-                time_limit: float | None = None) -> SimplexResult | None:
+                time_limit: float | None = None) -> SolveResult | None:
         """Reoptimize under model column bounds `lower`/`upper`.
 
         Returns None where this tableau cannot answer and a cold solve
@@ -354,10 +337,10 @@ class Tableau:
         status, iters, x_full = _dual(self.T, self.Tb, self.basis, self.in_basis,
                                       at_upper, lo, up, r, self.cost,
                                       self.allow, deadline)
-        if status == ITERATION_LIMIT:
+        if status is SolveStatus.ITERATION_LIMIT:
             return None
-        if status != OPTIMAL:
-            return SimplexResult(status, None, None, None, iters)
+        if status is not SolveStatus.OPTIMAL:
+            return SolveResult(status, stats={"iterations": iters})
         return _optimum(self.names, self.rest, x_full, self.cost, self.const, iters)
 
 
@@ -387,11 +370,11 @@ def _dual(T, Tb, basis, in_basis, at_upper, lo, up, r, c, allow, deadline):
         viol = np.maximum(below, above)
         rr = int(np.argmax(viol)) if m else 0
         if not m or viol[rr] <= 1e-9 * (1.0 + np.abs(xB).max()):
-            return OPTIMAL, iters, x
+            return SolveStatus.OPTIMAL, iters, x
         if iters >= _DUAL_MAXITER:
-            return ITERATION_LIMIT, iters, None
+            return SolveStatus.ITERATION_LIMIT, iters, None
         if deadline is not None and time.perf_counter() >= deadline:
-            return TIME_LIMIT, iters, None
+            return SolveStatus.TIME_LIMIT, iters, None
         to_lower = below[rr] > 0.0
         # how far row rr moves toward its broken bound per unit step of
         # each column away from its own bound
@@ -400,7 +383,7 @@ def _dual(T, Tb, basis, in_basis, at_upper, lo, up, r, c, allow, deadline):
             step = -step
         idx = np.flatnonzero(movable & ~in_basis & (step > 1e-9))
         if idx.size == 0:
-            return INFEASIBLE, iters, None
+            return SolveStatus.INFEASIBLE, iters, None
         d = np.maximum(np.where(at_upper[idx], -r[idx], r[idx]), 0.0)
         ratios = d / step[idx]
         ties = idx[ratios <= ratios.min() + 1e-12]

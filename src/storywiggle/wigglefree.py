@@ -59,18 +59,17 @@ def compute_span_tables(inst: OrderedStorylineInstance, params: NicenessParams,
     is kept as an inverted interval so callers can see why a pair failed.
     """
     full = always_active(inst)
-    steps = [(stack_offsets(inst, params, t),
-              {c: m for m in inst.meetings_at(t) for c in m.members})
-             for t in range(1, inst.time_steps + 1)]
+    steps = [stack_offsets(inst, params, t) for t in range(1, inst.time_steps + 1)]
     spans: dict[tuple[str, str], tuple[float, float]] = {}
     for ai, a in enumerate(full):
         for b in full[ai + 1:]:
             lo, hi = 0.0, math.inf
-            for t, (off, meeting) in enumerate(steps, 1):
+            for t, off in enumerate(steps, 1):
                 if inst.position(t, a) > inst.position(t, b):
                     break
                 lo = max(lo, off[b] - off[a])
-                if a in meeting and meeting[a] is meeting.get(b):
+                meeting = inst.meeting_of(t, a)
+                if meeting is not None and meeting is inst.meeting_of(t, b):
                     hi = min(hi, off[b] - off[a])
             else:
                 spans[(a, b)] = (lo, hi)
@@ -124,7 +123,7 @@ def max_wiggle_free_set(inst: OrderedStorylineInstance, params: NicenessParams,
         raise RuntimeError(
             f"flat layout solve ended {result.status.value}; "
             "the compatibility spans should guarantee feasibility")
-    coord = extract_coordination(index, result.assignment)
+    coord = extract_coordination(index, result.x)
     return WiggleFreeResult(subset, len(subset), coord)
 
 

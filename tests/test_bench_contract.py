@@ -2,9 +2,11 @@
 
 `perfbench/tracer.py` replaces module attributes by name, and
 `perfbench/run.py` fails a traced pass when a workload's required layer
-records no span.  A renamed or removed import site, or a change that
-leaves a layer with no call on a workload, therefore breaks the
-benchmark without breaking any other test.
+records no span.  `tracer.span_counters` then reads each solver's
+counters by attribute from the result it returned.  A renamed or removed
+import site or result field, or a change that leaves a layer with no
+call on a workload, therefore breaks the benchmark without breaking any
+other test.
 """
 
 import importlib
@@ -67,3 +69,30 @@ def test_every_required_layer_records_a_span(name, tmp_path):
     finally:
         spans.uninstall()
     assert set(wl.layers) <= {s.name for s in spans.spans}
+
+
+def test_span_counters_read_every_solver_result(tmp_path):
+    calls = (workloads.WORKLOADS["wc-bnb"](7).calls[0],
+             workloads.WORKLOADS["ladder-qwh"](7).calls[0])
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        for call in calls:
+            path = tmp_path / f"{call.instance.name}.json"
+            save_instance(str(path), call.instance.inst, call.instance.params)
+            r = spans.run("pipeline", run_pipeline, RunConfig(
+                str(path), objective=call.objective,
+                time_limit=call.time_limit))
+            assert r.exit_code == 0, (call.instance.name, call.objective)
+    finally:
+        spans.uninstall()
+    counters: dict[str, list[dict]] = {}
+    for span, c in zip(spans.spans, tracer.span_counters(spans)):
+        counters.setdefault(span.name, []).append(c)
+    (bnb,) = counters["branch_bound"]
+    assert type(bnb["nodes"]) is int and bnb["nodes"] > 0
+    assert type(bnb["gap"]) is float
+    assert counters["simplex"]
+    assert all(type(c["pivots"]) is int for c in counters["simplex"])
+    (qp,) = counters["qp"]
+    assert type(qp["iterations"]) is int

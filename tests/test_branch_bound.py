@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_ilp
+from storywiggle import branch_bound
 from storywiggle.branch_bound import solve_ilp
 from storywiggle.generate import generate_instance
 from storywiggle.instance import minimal_stack_coordination
 from storywiggle.programs import (EQ, GE, LE, LinearConstraint,
-                                  OptimizationModel, Variable,
-                                  assignment_from_coordination,
+                                  OptimizationModel, SolveResult, SolveStatus,
+                                  Variable, assignment_from_coordination,
                                   build_wc_program, compile_model,
                                   model_violations)
 from storywiggle import simplex
@@ -108,7 +109,7 @@ class TestHandCases:
 
         def stopped(model, **kwargs):
             seen.append(kwargs.get("time_limit"))
-            return simplex.SimplexResult("time_limit", None, None, None, 1)
+            return SolveResult(SolveStatus.TIME_LIMIT, stats={"iterations": 1})
 
         with mock.patch("storywiggle.branch_bound.solve_lp", stopped):
             r = solve_ilp(random_ilp(3), time_limit=5.0)
@@ -130,19 +131,21 @@ class TestHandCases:
         assert len(seen) == r.nodes > 1
         assert all(0.0 <= left <= 60.0 for left in seen)
 
-    def test_node_limit_reports_bound(self):
+    def test_node_limit_reports_bound(self, monkeypatch):
         model = random_ilp(99)
-        r = solve_ilp(model, node_limit=1)
+        monkeypatch.setattr(branch_bound, "_NODE_LIMIT", 1)
+        r = solve_ilp(model)
         assert r.status in ("optimal", "node_limit", "infeasible")
         if r.status == "node_limit":
             assert r.best_bound <= (r.objective or float("inf")) + 1e-9
 
-    def test_warm_start_seeds_incumbent(self):
+    def test_warm_start_seeds_incumbent(self, monkeypatch):
         model = ilp(
             [Variable("x", 0.0, 5.0, True)],
             [LinearConstraint("r", (("x", 1.0),), GE, 2.0)],
             {"x": 1.0})
-        r = solve_ilp(model, warm=({"x": 3.0},), node_limit=0)
+        monkeypatch.setattr(branch_bound, "_NODE_LIMIT", 0)
+        r = solve_ilp(model, warm=({"x": 3.0},))
         assert r.status == "node_limit"
         assert r.objective == pytest.approx(3.0)      # the seed survives
 

@@ -153,7 +153,7 @@ class TestNicenessAndMetrics:
         inst, params = make(CROSSING)
         coord = Coordination({(1, "a"): 0.0, (1, "b"): 1.0,
                               (2, "a"): 1.0 + 5e-10, (2, "b"): 1e-10})
-        m = compute_metrics(inst, coord, zero_tol=1e-9)
+        m = compute_metrics(inst, coord)
         assert m.wiggle_count == 2        # the real crossing moves stay
 
     def test_neighbor_sets_split(self):

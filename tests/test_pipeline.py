@@ -3,7 +3,6 @@
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from storywiggle import branch_bound
 from storywiggle import pipeline as pipeline_mod
 from storywiggle.cli import main as cli_main
 from storywiggle.generate import generate_instance
@@ -37,7 +37,8 @@ METRIC_KEYS = {"wiggleCount", "linearWiggleHeight", "quadraticWiggleHeight",
                "totalHeight", "objective", "solverStatus", "solveSeconds"}
 
 
-# instances without time steps, and a spacing far beyond float precision
+# instances without time steps, and spacings far beyond float precision
+# and beyond the float range
 ZERO_STEPS = {"characters": [{"id": "a", "activeFrom": 1, "activeTo": 1}],
               "meetings": [], "orderings": []}
 EMPTY = {"characters": [], "meetings": [], "orderings": []}
@@ -45,6 +46,7 @@ HUGE_SPACING = {"characters": [{"id": "a", "activeFrom": 1, "activeTo": 2},
                                {"id": "b", "activeFrom": 1, "activeTo": 2}],
                 "meetings": [], "orderings": [["a", "b"], ["b", "a"]],
                 "params": {"delta": 1e300, "deltaBar": 1e300}}
+HUGE_INT_SPACING = {**HUGE_SPACING, "params": {"delta": 10 ** 400}}
 
 
 def run(tmp_path, input_path, **kwargs):
@@ -202,6 +204,12 @@ class TestInputErrors:
         assert r.exit_code == EXIT_INPUT
         assert r.message.startswith("activity['a']")
 
+    @pytest.mark.parametrize("compare", [False, True])
+    @pytest.mark.parametrize("limit", [math.nan, -1.0])
+    def test_bad_time_limit(self, tmp_path, limit, compare):
+        r = run(tmp_path, CROSSING, time_limit=limit, compare=compare)
+        assert r.exit_code == EXIT_INPUT and "non-negative" in r.message
+
     def test_compare_rejects_fractional_spacing(self, tmp_path):
         r = run(tmp_path, CROSSING, compare=True, delta=0.5)
         assert r.exit_code == EXIT_INPUT and "integral" in r.message
@@ -293,9 +301,7 @@ class TestSolverOutcomes:
         assert r.metrics["solverStatus"] == status.value
 
     def test_node_limit_on_wc_exits_four(self, tmp_path, monkeypatch):
-        real = pipeline_mod._solver_config
-        monkeypatch.setattr(pipeline_mod, "_solver_config",
-                            lambda config: replace(real(config), node_limit=1))
+        monkeypatch.setattr(branch_bound, "_NODE_LIMIT", 1)
         r = run(tmp_path, DEMO, objective="wc")
         assert r.exit_code == EXIT_TIME
         assert r.metrics["solverStatus"] == "node_limit"
@@ -476,6 +482,7 @@ def documents(draw):
 @example(doc=ZERO_STEPS)
 @example(doc=EMPTY)
 @example(doc=HUGE_SPACING)
+@example(doc=HUGE_INT_SPACING)
 def test_no_input_ends_in_a_traceback(tmp_path_factory, doc):
     tmp = tmp_path_factory.mktemp("fuzz")
     path = write_doc(tmp, doc)
@@ -487,3 +494,12 @@ def test_no_input_ends_in_a_traceback(tmp_path_factory, doc):
         assert r.exit_code in range(5), (objective, r.message)
     r = run_pipeline(RunConfig(path, compare=True, time_limit=1.0))
     assert r.exit_code in range(5), ("compare", r.message)
+
+
+def test_readme_library_example_runs(monkeypatch):
+    readme = (INSTANCES.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    monkeypatch.chdir(INSTANCES.parent)
+    namespace: dict = {}
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), namespace)
+    assert namespace["svg"].startswith("<svg")

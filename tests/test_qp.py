@@ -14,10 +14,12 @@ from storywiggle.programs import (EQ, GE, LE, LinearConstraint,
                                   assignment_from_coordination,
                                   build_qwh_program, model_violations,
                                   objective_value)
+from storywiggle import qp as qp_mod
 from storywiggle.qp import solve_qp
 from storywiggle.simplex import solve_lp
 
 KKT_KEYS = ("stationarity", "primal", "dual", "complementarity")
+STEPS = ("newton_steps", "ray_steps", "zero_steps")
 
 
 def qp(variables, constraints, objective, quadratic):
@@ -123,9 +125,10 @@ class TestHandCases:
         assert model_violations(model, r.x, tol=1e-9) == []
         assert r.kkt is not None and r.kkt["primal"] <= 1e-9
 
-    def test_iteration_limit(self):
+    def test_iteration_limit(self, monkeypatch):
         model = qp([Variable("x", 0.0, 10.0)], [], {"x": -6.0}, {"x": 1.0})
-        r = solve_qp(model, maxiter=0)
+        monkeypatch.setattr(qp_mod, "_MAXITER", 0)
+        r = solve_qp(model)
         assert r.status == "iteration_limit"
 
     def test_warm_start_at_optimum(self):
@@ -167,7 +170,7 @@ class TestDegenerateEqualities:
         r = solve_qp(qp([Variable("x"), Variable("y")],
                         [eq("a", row, 2.0), eq("b", row, 2.0)],
                         {}, {"x": 1.0, "y": 1.0}))
-        assert r.status == "optimal" and r.null_dim == 1
+        assert r.status == "optimal" and r.stats["null_dim"] == 1
         assert r.x["x"] == pytest.approx(1.0, abs=1e-12)
         assert r.x["y"] == pytest.approx(1.0, abs=1e-12)
         assert r.objective == pytest.approx(2.0, abs=1e-12)
@@ -184,7 +187,7 @@ class TestDegenerateEqualities:
         weights = {"x": 1.0, "y": 1.0, "z": 1.0}
         x, y = Variable("x", -math.inf), Variable("y", -math.inf)
         free = solve_qp(qp([x, y, Variable("z", -math.inf)], rows, {}, weights))
-        assert free.null_dim == 1
+        assert free.stats["null_dim"] == 1
         assert [free.x[v] for v in "xyz"] == pytest.approx([1.0, 0.0, -1.0],
                                                            abs=1e-12)
         assert free.objective == pytest.approx(2.0, abs=1e-12)
@@ -204,7 +207,7 @@ class TestDegenerateEqualities:
                     eq("d", (("x", 1.0), ("y", -1.0)), 1.0)],
                    {"x": -5.0}, {"x": 1.0, "y": 1.0})
         r = solve_qp(model)
-        assert r.status == "optimal" and r.null_dim == 0
+        assert r.status == "optimal" and r.stats["null_dim"] == 0
         assert r.x == pytest.approx({"x": 2.0, "y": 1.0}, abs=1e-12)
         assert r.objective == pytest.approx(-5.0, abs=1e-12)
         assert_kkt_clean(r, tol=1e-9)
@@ -216,7 +219,7 @@ class TestDegenerateEqualities:
                    [LinearConstraint("r", (("x", 1.0), ("y", 1.0)), LE, 2.0)],
                    {"x": -2.0, "y": -4.0}, {"x": 1.0, "y": 1.0})
         r = solve_qp(model)
-        assert r.status == "optimal" and r.null_dim == 2
+        assert r.status == "optimal" and r.stats["null_dim"] == 2
         assert r.x == pytest.approx({"x": 0.5, "y": 1.5}, abs=1e-12)
         assert r.objective + 5.0 == pytest.approx(0.5, abs=1e-12)
         assert r.duals["r"] == pytest.approx(1.0, abs=1e-12)
@@ -236,7 +239,7 @@ def test_ladder_qwh_optima_are_frozen(shape, optimum):
         model, index, minimal_stack_coordination(inst, params))
     r = solve_qp(model, warm=warm)
     assert r.status == "optimal"
-    assert r.newton_steps + r.ray_steps + r.zero_steps == r.iterations
+    assert sum(r.stats[k] for k in STEPS) == r.iterations
     assert r.objective == pytest.approx(optimum, rel=1e-9, abs=0.0)
     assert_kkt_clean(r, tol=1e-9)
 
@@ -251,8 +254,8 @@ def test_ladder_qwh_optima_are_frozen(shape, optimum):
 ], ids=["ray-to-bound", "unbounded", "pinned-row"])
 def test_step_counts_add_up(model, rays):
     r = solve_qp(model)
-    assert r.newton_steps + r.ray_steps + r.zero_steps == r.iterations > 0
-    assert (r.ray_steps > 0) is rays
+    assert sum(r.stats[k] for k in STEPS) == r.iterations > 0
+    assert (r.stats["ray_steps"] > 0) is rays
 
 
 @settings(max_examples=120, deadline=None)

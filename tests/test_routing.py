@@ -358,8 +358,7 @@ class TestExtentAgainstTheLP:
             inst, params = generate_instance(n, steps, seed=7,
                                              meeting_prob=0.5)
             model, index = build_lwh_program(inst, params)
-            coord = extract_coordination(index,
-                                         solve_model(model).assignment)
+            coord = extract_coordination(index, solve_model(model).x)
             for t in inst.gaps():
                 paired += assert_matches_reference(inst, coord, t,
                                                    params.delta / 2.0)

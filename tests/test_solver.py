@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import storywiggle
+from storywiggle import branch_bound
 from storywiggle.generate import generate_instance
 from storywiggle.lpsolve import main as lpsolve_main
 from storywiggle.programs import (GE, LE, LinearConstraint, ModelError,
@@ -45,7 +46,7 @@ class TestDispatch:
         r = solve_model(lp_model())
         assert r.status is SolveStatus.OPTIMAL
         assert r.objective == pytest.approx(6.0)      # x carries the load
-        assert r.assignment["x"] == pytest.approx(3.0)
+        assert r.x["x"] == pytest.approx(3.0)
         assert r.duals is not None and r.kkt is None
         assert r.gap == 0.0 and r.best_bound == pytest.approx(6.0)
         assert r.stats["solve_seconds"] >= 0.0
@@ -90,10 +91,11 @@ class TestDispatch:
             [LinearConstraint("r", (("x", 1.0),), GE, 5.0)], {"x": 1.0})
         r = solve_model(model)
         assert r.status is SolveStatus.INFEASIBLE
-        assert r.assignment is None and r.gap is None
+        assert r.x is None and r.gap is None
 
-    def test_node_limit_has_its_own_status(self):
-        r = solve_model(ilp_model(), SolverConfig(node_limit=0))
+    def test_node_limit_has_its_own_status(self, monkeypatch):
+        monkeypatch.setattr(branch_bound, "_NODE_LIMIT", 0)
+        r = solve_model(ilp_model())
         assert r.status is SolveStatus.NODE_LIMIT
 
     def test_external_honours_the_time_limit(self):
@@ -125,8 +127,7 @@ class TestExternalBackend:
         assert ext.status is SolveStatus.OPTIMAL
         assert ext.objective == pytest.approx(base.objective, abs=1e-9)
         for name in ("x", "y"):
-            assert ext.assignment[name] == pytest.approx(
-                base.assignment[name], abs=1e-9)
+            assert ext.x[name] == pytest.approx(base.x[name], abs=1e-9)
         # duals do not survive the file format
         assert ext.duals is None
 
@@ -158,7 +159,7 @@ class TestSolutionFiles:
         from storywiggle.solver import _parse_solution
         back = _parse_solution(text)
         assert back.objective == pytest.approx(r.objective)
-        assert back.assignment == pytest.approx(r.assignment)
+        assert back.x == pytest.approx(r.x)
 
     def test_parse_requires_status(self):
         from storywiggle.solver import _parse_solution
