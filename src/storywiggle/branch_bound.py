@@ -105,7 +105,7 @@ def solve_ilp(model: OptimizationModel, *,
         nodes += 1
         left = None if deadline is None else max(0.0, deadline - time.monotonic())
         if live is None:                  # the root
-            lp = solve_lp(cm, keep_tableau=True, time_limit=left)
+            lp = solve_lp(cm, time_limit=left)
             live = lp.tableau
         else:
             lp = (live.resolve(lower, upper, time_limit=left)

@@ -22,7 +22,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--delta-bar", type=float, default=None,
                         help="override the minimum free distance")
     parser.add_argument("--rmin", type=float, default=None,
-                        help="minimum arc radius (default: delta / 2)")
+                        help="minimum arc radius, in (0, 2**53] "
+                             "(default: delta / 2)")
     parser.add_argument("--svg", default=None, metavar="PATH",
                         help="write the rendered layout here")
     parser.add_argument("--metrics", default=None, metavar="PATH",
@@ -30,7 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--routing-report", default=None, metavar="PATH",
                         help="write the per-gap routing report here")
     parser.add_argument("--time-limit", type=float, default=None,
-                        help="non-negative solver time limit in seconds")
+                        help="non-negative solver time limit in seconds; "
+                             "inf means none")
     parser.add_argument("--oracle", action="store_true",
                         help="cross-check the optimum against the "
                              "exhaustive reference (small instances only)")

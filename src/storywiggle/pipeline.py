@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .instance import (Coordination, LayoutMetrics,
                        NicenessParams, OrderedStorylineInstance,
@@ -25,7 +25,7 @@ from .oracle import OracleLimitError, oracle_optimum
 from .programs import (ModelError, assignment_from_coordination, big_y,
                        build_lwh_program, build_qwh_program, build_wc_program,
                        extract_coordination, objective_value)
-from .render import RenderStyle, render_svg
+from .render import render_svg
 from .routing import route_all_gaps
 from .solver import SolveStatus, SolverConfig, default_backend, solve_model
 from .wigglefree import max_wiggle_free_set, unrestricted_wc_min
@@ -56,7 +56,6 @@ class RunConfig:
     check_oracle: bool = False
     compare: bool = False
     backend: str | None = None
-    style: RenderStyle = field(default_factory=RenderStyle)
 
 
 @dataclass
@@ -214,7 +213,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     svg = None
     if config.svg_path is not None:
-        svg = render_svg(inst, coord, plan, config.style,
+        svg = render_svg(inst, coord, plan,
                          title=os.path.basename(config.input_path))
         with open(config.svg_path, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -236,8 +235,9 @@ def _load(config: RunConfig) -> tuple[OrderedStorylineInstance, NicenessParams]:
     Raises OSError or ValueError (InstanceError among them) on bad input.
     """
     inst, params = load_instance(config.input_path)
-    if config.r_min is not None and not 0 < config.r_min < math.inf:
-        raise ValueError(f"rmin must be finite and positive, got {config.r_min}")
+    # the arc geometry squares radii; 2**53 also bounds the layouts below
+    if config.r_min is not None and not 0 < config.r_min <= 2.0 ** 53:
+        raise ValueError(f"rmin must be positive and at most 2**53, got {config.r_min}")
     # nan fails every deadline comparison, so it would never stop a solve
     if config.time_limit is not None and not config.time_limit >= 0:
         raise ValueError(f"time limit must be non-negative, got {config.time_limit}")

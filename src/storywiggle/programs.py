@@ -24,7 +24,7 @@ stopped), `best_bound` and relative `gap` (a continuous optimum's own
 objective and 0; for branch and bound, the least open bound and a float
 gap, inf until both are finite), `duals` and QP `kkt` residuals where a
 solver has them, its counters in `stats` (`iterations` and `nodes` are
-also attributes), and the `tableau` of `solve_lp(keep_tableau=True)`.
+also attributes), and, for an optimum of `solve_lp`, its `tableau`.
 """
 
 from __future__ import annotations
@@ -299,7 +299,6 @@ def build_lwh_program(inst: OrderedStorylineInstance,
                 f"wneg_t{t}_c{char_idx[c]}",
                 ((yb, 1.0), (ya, -1.0), (w, -1.0)), LE, 0.0))
             model.objective[w] = 1.0
-    model.validate()
     return model, index
 
 
@@ -323,7 +322,6 @@ def build_qwh_program(inst: OrderedStorylineInstance,
                 f"dlink_t{t}_c{char_idx[c]}",
                 ((ya, 1.0), (yb, -1.0), (d, -1.0)), EQ, 0.0))
             model.quadratic[d] = 1.0
-    model.validate()
     return model, index
 
 
@@ -349,7 +347,6 @@ def build_wc_program(inst: OrderedStorylineInstance,
     char_idx = {c: k for k, c in enumerate(inst.characters)}
     _niceness_rows(inst, params, index, model.constraints)
     if not index.y:
-        model.validate()
         return model, index
     h = index.h = "h"
     model.variables.append(Variable(h, 0.0, max(Y - 1.0, 0.0)))
@@ -369,7 +366,6 @@ def build_wc_program(inst: OrderedStorylineInstance,
                 f"m2_t{t}_c{char_idx[c]}",
                 ((ya, 1.0), (yb, -1.0), (z, -Y)), LE, 0.0))
             model.objective[z] = 1.0
-    model.validate()
     return model, index
 
 

@@ -9,39 +9,29 @@ byte-equal documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .instance import Coordination, OrderedStorylineInstance
 from .routing import RoutingPlan, WigglePath, gap_paths
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
+UNIT_SCALE = 40.0           # pixels per world unit
+GAP_PADDING = 20.0          # flat lead on each side of a gap, pixels
+STROKE_WIDTH = 2.0
+MEETING_BAR_WIDTH = 6.0
+MARGIN = 30.0
+DECIMALS = 3
+FONT_SIZE = 12.0
+MEETING_FILL = "#d4d4d4"
+BACKGROUND = "#ffffff"
 
 
-@dataclass
-class RenderStyle:
-    unit_scale: float = 40.0          # pixels per world unit
-    gap_padding: float = 20.0         # flat lead on each side of a gap, pixels
-    min_gap_width: float = 0.0        # extra floor for a gap's arc window, world units
-    stroke_width: float = 2.0
-    meeting_bar_width: float = 6.0
-    margin: float = 30.0
-    decimals: int = 3
-    font_size: float = 12.0
-    meeting_fill: str = "#d4d4d4"
-    background: str = "#ffffff"
-    show_labels: bool = True
-
-
-def compute_x_positions(inst: OrderedStorylineInstance, plan: RoutingPlan,
-                        style: RenderStyle | None = None) -> list[float]:
+def compute_x_positions(inst: OrderedStorylineInstance,
+                        plan: RoutingPlan) -> list[float]:
     """World x of each step; index 0 is step 1."""
-    style = style or RenderStyle()
-    pad = style.gap_padding / style.unit_scale
+    pad = GAP_PADDING / UNIT_SCALE
     xs = [0.0]
     for g in plan.gaps:
-        width = max(g.dx, style.min_gap_width) + 2.0 * pad
-        xs.append(xs[-1] + width)
+        xs.append(xs[-1] + (g.dx + 2.0 * pad))
     return xs
 
 
@@ -64,32 +54,30 @@ def character_colors(inst: OrderedStorylineInstance) -> dict[str, str]:
 
 
 def render_svg(inst: OrderedStorylineInstance, coord: Coordination,
-               plan: RoutingPlan, style: RenderStyle | None = None,
-               title: str | None = None) -> str:
+               plan: RoutingPlan, title: str | None = None) -> str:
     """Standalone SVG document for a routed layout."""
-    style = style or RenderStyle()
-    xs = compute_x_positions(inst, plan, style)
+    xs = compute_x_positions(inst, plan)
     y_min, y_max = coord.min_y(), coord.max_y()
 
     def fmt(v: float) -> str:
-        s = f"{v:.{style.decimals}f}"
-        return "0." + "0" * style.decimals if s == "-0." + "0" * style.decimals else s
+        s = f"{v:.{DECIMALS}f}"
+        return "0." + "0" * DECIMALS if s == "-0." + "0" * DECIMALS else s
 
     def sx(x: float) -> float:
-        return style.margin + x * style.unit_scale
+        return MARGIN + x * UNIT_SCALE
 
     def sy(y: float) -> float:
-        return style.margin + (y_max - y) * style.unit_scale
+        return MARGIN + (y_max - y) * UNIT_SCALE
 
-    width = 2.0 * style.margin + (xs[-1] if xs else 0.0) * style.unit_scale
-    height = 2.0 * style.margin + (y_max - y_min) * style.unit_scale
+    width = 2.0 * MARGIN + (xs[-1] if xs else 0.0) * UNIT_SCALE
+    height = 2.0 * MARGIN + (y_max - y_min) * UNIT_SCALE
     out: list[str] = []
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width)}" '
         f'height="{fmt(height)}" viewBox="0 0 {fmt(width)} {fmt(height)}">')
     if title:
         out.append(f"  <title>{_escape(title)}</title>")
-    out.append(f'  <rect width="100%" height="100%" fill="{style.background}"/>')
+    out.append(f'  <rect width="100%" height="100%" fill="{BACKGROUND}"/>')
 
     out.append('  <g class="meetings">')
     for t in range(1, inst.time_steps + 1):
@@ -98,9 +86,9 @@ def render_svg(inst: OrderedStorylineInstance, coord: Coordination,
             top = sy(max(ys) + 0.35)
             bottom = sy(min(ys) - 0.35)
             out.append(
-                f'    <rect x="{fmt(sx(xs[t - 1]) - style.meeting_bar_width / 2.0)}" '
-                f'y="{fmt(top)}" width="{fmt(style.meeting_bar_width)}" '
-                f'height="{fmt(bottom - top)}" fill="{style.meeting_fill}" rx="2"/>')
+                f'    <rect x="{fmt(sx(xs[t - 1]) - MEETING_BAR_WIDTH / 2.0)}" '
+                f'y="{fmt(top)}" width="{fmt(MEETING_BAR_WIDTH)}" '
+                f'height="{fmt(bottom - top)}" fill="{MEETING_FILL}" rx="2"/>')
     out.append("  </g>")
 
     paths_by_gap: list[dict[str, WigglePath]] = []
@@ -110,7 +98,7 @@ def render_svg(inst: OrderedStorylineInstance, coord: Coordination,
 
     colors = character_colors(inst)
     out.append('  <g class="characters" fill="none" '
-               f'stroke-width="{fmt(style.stroke_width)}" '
+               f'stroke-width="{fmt(STROKE_WIDTH)}" '
                'stroke-linecap="round" stroke-linejoin="round">')
     for c in inst.characters:
         lo, hi = inst.activity[c]
@@ -127,22 +115,21 @@ def render_svg(inst: OrderedStorylineInstance, coord: Coordination,
             jx, jy = path.junction
             for arc, ex, ey in ((first, jx, jy), (second, *path.end)):
                 sweep = 1 if arc.ccw else 0
-                r = fmt(arc.radius * style.unit_scale)
+                r = fmt(arc.radius * UNIT_SCALE)
                 d.append(f"A {r} {r} 0 0 {sweep} {fmt(sx(ex))} {fmt(sy(ey))}")
             d.append(f"L {fmt(sx(xs[t]))} {fmt(sy(path.end[1]))}")
         out.append(f'    <path stroke="{colors[c]}" d="{" ".join(d)}"/>')
     out.append("  </g>")
 
-    if style.show_labels:
-        out.append('  <g class="labels" font-family="sans-serif" '
-                   f'font-size="{fmt(style.font_size)}">')
-        for c in inst.characters:
-            lo = inst.activity[c][0]
-            x = sx(xs[lo - 1]) - 6.0
-            y = sy(coord.y(lo, c)) + style.font_size / 3.0
-            out.append(f'    <text x="{fmt(x)}" y="{fmt(y)}" text-anchor="end" '
-                       f'fill="{colors[c]}">{_escape(c)}</text>')
-        out.append("  </g>")
+    out.append('  <g class="labels" font-family="sans-serif" '
+               f'font-size="{fmt(FONT_SIZE)}">')
+    for c in inst.characters:
+        lo = inst.activity[c][0]
+        x = sx(xs[lo - 1]) - 6.0
+        y = sy(coord.y(lo, c)) + FONT_SIZE / 3.0
+        out.append(f'    <text x="{fmt(x)}" y="{fmt(y)}" text-anchor="end" '
+                   f'fill="{colors[c]}">{_escape(c)}</text>')
+    out.append("  </g>")
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -427,30 +427,30 @@ def _min_extent(t: int, order: list[str], arcs: list[tuple[str, str, float, floa
     return x
 
 
-def _concentricity_program(t: int, pairs: list[RoutedPair],
-                           arcs: list[tuple[str, str, float, float]],
-                           spans: dict[str, float], r_min: float,
-                           x: float) -> OptimizationModel:
+def _concentricity_program(t: int, arcs: list[tuple[str, str, float, float]],
+                           spans: dict[str, float], r_min: float, x: float,
+                           rleave: dict[str, str]) -> OptimizationModel:
     """Stage 2 of gap t: the paired movers' leaving radii at extent X.
 
     Each separation row is a difference of two leaving radii, and the
     cost is the sum of their left-hand sides, so the optimum minimizes
-    the total separation slack.
+    the total separation slack.  Columns take their names from `rleave`
+    and rows from the pair's index, never from a character id, which
+    may be any string.
     """
     cost: dict[str, float] = {}
     model = OptimizationModel(f"route_gap{t}")
-    for p, (tail, head, alpha, beta) in zip(pairs, arcs):
+    for k, (tail, head, alpha, beta) in enumerate(arcs):
         cost[head] = cost.get(head, 0.0) + 1.0
         cost[tail] = cost.get(tail, 0.0) - 1.0
         model.constraints.append(LinearConstraint(
-            f"sep_{p.side}_{p.lower}_{p.upper}",
-            ((f"rleave_{head}", 1.0), (f"rleave_{tail}", -1.0)),
+            f"sep_p{k}", ((rleave[head], 1.0), (rleave[tail], -1.0)),
             GE, alpha + beta * x))
     for c, coefficient in cost.items():
         # rounding can leave s(X) a hair under 2 r_min
         model.variables.append(Variable(
-            f"rleave_{c}", r_min, max(r_min, spans[c] - r_min)))
-        model.objective[f"rleave_{c}"] = coefficient
+            rleave[c], r_min, max(r_min, spans[c] - r_min)))
+        model.objective[rleave[c]] = coefficient
     return model
 
 
@@ -479,13 +479,16 @@ def route_gap(inst: OrderedStorylineInstance, coord: Coordination, t: int, *,
     # nothing else pins the split, so balance the S symmetrically
     radii = {c: (s / 2.0, s / 2.0) for c, s in spans.items()}
     if pairs:
-        model = _concentricity_program(t, pairs, arcs, spans, r_min, x)
+        # named by declaration index, as the layout programs name columns
+        rleave = {c: f"rleave_c{k}" for k, c in enumerate(inst.characters)
+                  if c in paired}
+        model = _concentricity_program(t, arcs, spans, r_min, x, rleave)
         result = solve_model(model, config)
         if result.status is not SolveStatus.OPTIMAL:
             raise ModelError(
                 f"gap {t} routing stage 2 ended {result.status.value}")
         for c in paired:
-            r1 = result.x[f"rleave_{c}"]
+            r1 = result.x[rleave[c]]
             radii[c] = (r1, spans[c] - r1)
     return GapRouting(
         gap=t,

@@ -41,6 +41,11 @@ from .qp import solve_qp
 from .simplex import solve_lp
 
 
+# subprocess waits poll in whole milliseconds held in a C int; a longer
+# limit, inf included, waits with no timeout
+_MAX_TIMEOUT = (2 ** 31 - 1) / 1000.0
+
+
 def default_backend() -> str:
     return os.environ.get("STORYWIGGLE_BACKEND", "builtin")
 
@@ -90,10 +95,11 @@ def _solve_external(model: OptimizationModel, config: SolverConfig) -> SolveResu
         sol_path = os.path.join(tmp, "out.sol")
         with open(lp_path, "w", encoding="utf-8") as fh:
             fh.write(write_lp(model))
+        limit = config.time_limit
+        timeout = limit if limit is not None and limit <= _MAX_TIMEOUT else None
         try:
             proc = subprocess.run(command + [lp_path, sol_path],
-                                  capture_output=True, text=True,
-                                  timeout=config.time_limit)
+                                  capture_output=True, text=True, timeout=timeout)
         except subprocess.TimeoutExpired:
             return SolveResult(SolveStatus.TIME_LIMIT)
         if proc.returncode != 0:

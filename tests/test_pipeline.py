@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -186,7 +187,7 @@ class TestInputErrors:
                             ("delta_bar", math.inf), ("delta", 1e300),
                             ("delta_bar", 1e300), ("r_min", math.inf),
                             ("r_min", math.nan), ("r_min", 0.0),
-                            ("r_min", -1.0)]:
+                            ("r_min", -1.0), ("r_min", 1e155)]:
             r = run(tmp_path, CROSSING, svg_path=str(tmp_path / "out.svg"),
                     **{flag: value})
             assert r.exit_code == EXIT_INPUT, (flag, value, r.message)
@@ -325,6 +326,19 @@ class TestSolverOutcomes:
         r = run(tmp_path, CROSSING, objective="lwh",
                 backend=f"external:{sys.executable} {script}")
         assert r.exit_code == EXIT_INPUT and message in r.message
+
+    def test_external_backend_takes_any_character_id(self, tmp_path, monkeypatch):
+        # ids with spaces once reached the routing LP's row names
+        src = str(Path(__file__).parent.parent / "src")
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        text = Path(DEMO).read_text()
+        for c in ("alice", "bob", "carol", "dan"):
+            text = text.replace(f'"{c}"', f'"{c} x"')
+        r = run(tmp_path, write_doc(tmp_path, text), svg_path=str(tmp_path / "a.svg"),
+                backend=f"external:{sys.executable} -m storywiggle.lpsolve")
+        assert r.exit_code == EXIT_OK, r.message
+        assert r.routing_report["gaps"][0]["wiggling"][0].endswith(" x")
 
     def test_routing_failure_exits_two(self, tmp_path):
         # wc-unrestricted needs no solver, so the first model this backend

@@ -5,10 +5,10 @@ import re
 
 import pytest
 
+from storywiggle import render
 from storywiggle.instance import (Coordination, load_instance,
                                   minimal_stack_coordination, parse_instance)
-from storywiggle.render import (RenderStyle, character_colors,
-                                compute_x_positions, render_svg)
+from storywiggle.render import character_colors, compute_x_positions, render_svg
 from storywiggle.routing import route_all_gaps
 
 CROSSING = json.dumps({
@@ -46,6 +46,7 @@ class TestDocumentStructure:
         assert '<g class="meetings">' in svg
         assert '<g class="characters"' in svg
         assert '<g class="labels"' in svg
+        assert svg.count("<text") == 2
         assert svg.count("<path ") == 2
         assert "A " in svg                     # the mover bends on arcs
 
@@ -54,13 +55,6 @@ class TestDocumentStructure:
         svg = render_svg(inst, coord, plan, title='a<b & "c"')
         assert "<title>a&lt;b &amp; &quot;c&quot;</title>" in svg
         assert "<title>" not in render_svg(inst, coord, plan)
-
-    def test_labels_can_be_turned_off(self):
-        inst, coord, plan = crossing_scene()
-        svg = render_svg(inst, coord, plan, RenderStyle(show_labels=False))
-        assert "<text" not in svg
-        labeled = render_svg(inst, coord, plan)
-        assert labeled.count("<text") == 2
 
     def test_meetings_draw_bars(self):
         inst, coord, plan = demo_scene()
@@ -77,9 +71,9 @@ class TestDocumentStructure:
 
     def test_malformed_numbers_absent(self):
         inst, coord, plan = crossing_scene()
-        svg = render_svg(inst, coord, plan, RenderStyle(decimals=2))
+        svg = render_svg(inst, coord, plan)
         assert "nan" not in svg and "inf" not in svg
-        assert re.search(r'd="M \d+\.\d\d ', svg)
+        assert re.search(r'd="M \d+\.\d\d\d ', svg)
 
 
 class TestColors:
@@ -105,29 +99,21 @@ class TestColors:
 class TestGeometryPlacement:
     def test_x_positions_accumulate_gap_windows(self):
         inst, coord, plan = crossing_scene()
-        style = RenderStyle()
-        xs = compute_x_positions(inst, plan, style)
-        pad = style.gap_padding / style.unit_scale
+        xs = compute_x_positions(inst, plan)
+        pad = render.GAP_PADDING / render.UNIT_SCALE
         assert xs[0] == 0.0
         assert xs[1] == pytest.approx(plan.gaps[0].dx + 2.0 * pad)
 
-    def test_min_gap_width_floors_the_window(self):
-        inst, coord, plan = crossing_scene()
-        style = RenderStyle(min_gap_width=50.0, gap_padding=0.0)
-        xs = compute_x_positions(inst, plan, style)
-        assert xs[1] == pytest.approx(50.0)
-
     def test_canvas_covers_the_layout(self):
         inst, coord, plan = demo_scene()
-        style = RenderStyle()
-        svg = render_svg(inst, coord, plan, style)
+        svg = render_svg(inst, coord, plan)
         m = re.search(r'width="([\d.]+)" height="([\d.]+)"', svg)
-        xs = compute_x_positions(inst, plan, style)
+        xs = compute_x_positions(inst, plan)
         span = coord.max_y() - coord.min_y()
         assert float(m.group(1)) == pytest.approx(
-            2.0 * style.margin + xs[-1] * style.unit_scale, abs=1e-3)
+            2.0 * render.MARGIN + xs[-1] * render.UNIT_SCALE, abs=1e-3)
         assert float(m.group(2)) == pytest.approx(
-            2.0 * style.margin + span * style.unit_scale, abs=1e-3)
+            2.0 * render.MARGIN + span * render.UNIT_SCALE, abs=1e-3)
 
 
 class TestDeterminism:
@@ -135,9 +121,3 @@ class TestDeterminism:
         first = render_svg(*demo_scene())
         second = render_svg(*demo_scene())
         assert first == second
-
-    def test_style_changes_change_the_bytes(self):
-        inst, coord, plan = crossing_scene()
-        a = render_svg(inst, coord, plan, RenderStyle(stroke_width=2.0))
-        b = render_svg(inst, coord, plan, RenderStyle(stroke_width=3.0))
-        assert a != b

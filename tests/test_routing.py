@@ -230,6 +230,20 @@ class TestRouteGap:
         (pair,) = gap["pairs"]
         assert pair["lower"] == "a" and pair["side"] == UP_LEFT
 
+    def test_ids_that_join_alike_name_distinct_rows(self):
+        # (a, b_c) and (a_b, c) once both named their row sep_up_left_a_b_c
+        ids = ["a", "b_c", "a_b", "c"]
+        inst, _ = parse_instance(json.dumps({
+            "characters": [{"id": c, "activeFrom": 1, "activeTo": 2}
+                           for c in ids],
+            "meetings": [], "orderings": [ids, ids],
+            "params": {"delta": 1.0, "deltaBar": 1.0}}))
+        coord = Coordination({(t, c): float(k + 2 * (t - 1))
+                              for k, c in enumerate(ids) for t in (1, 2)})
+        (g,) = route_all_gaps(inst, coord, r_min=0.5).gaps
+        assert len(g.pairs) == 5
+        assert g.dx == pytest.approx(math.sqrt(12.0))    # as with ids a, b, d, c
+
 
 class TestIsMonotone:
     def test_directions(self):

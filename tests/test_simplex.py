@@ -194,7 +194,7 @@ class TestTableau:
                       ((-inf, 0.0), (2.0, 1.0))]   # free y boxed
         for model, cases in ((self.box(), box_cases),
                              (self.open_box(), open_cases)):
-            tab = simplex.solve_lp(model, keep_tableau=True).tableau
+            tab = simplex.solve_lp(model).tableau
             for lower, upper in cases:
                 warm = tab.resolve(lower, upper)
                 cold = solve_lp(replace(compile_model(model),
@@ -206,19 +206,19 @@ class TestTableau:
                     assert warm.x == pytest.approx(cold.x, abs=1e-12)
 
     def test_resolve_stops_at_a_zero_budget(self):
-        tab = simplex.solve_lp(self.box(), keep_tableau=True).tableau
+        tab = simplex.solve_lp(self.box()).tableau
         r = tab.resolve((0.0, 0.0), (0.5, 2.0), time_limit=0.0)  # needs a pivot
         assert r.status == "time_limit" and r.x is None
         assert tab.resolve((0.0, 0.0), (2.0, 2.0), time_limit=0.0).x == \
             pytest.approx({"x": 1.0, "y": 2.0})             # needs none
 
     def test_resolve_defers_what_it_cannot_answer(self):
-        tab = simplex.solve_lp(self.box(), keep_tableau=True).tableau
+        tab = simplex.solve_lp(self.box()).tableau
         with mock.patch.object(simplex, "_DUAL_MAXITER", 0):
             assert tab.resolve((0.0, 0.0), (0.5, 2.0)) is None
         free = lp([Variable("x", -math.inf, math.inf)],
                   [LinearConstraint("r", (("x", 1.0),), GE, -1.0)], {"x": 1.0})
-        tab = simplex.solve_lp(free, keep_tableau=True).tableau
+        tab = simplex.solve_lp(free).tableau
         warm = tab.resolve((0.0,), (math.inf,))           # free column bounded
         cold = solve_lp(replace(compile_model(free), lower=(0.0,)))
         assert (warm.status, warm.x, warm.objective) == \
@@ -228,7 +228,7 @@ class TestTableau:
         row = lp([Variable("x", 0.0, math.inf), Variable("y", 0.0, math.inf)],
                  [LinearConstraint("r", (("x", 1.0), ("y", 1.0)), LE, 4.0)],
                  {"x": -1.0})
-        tab = simplex.solve_lp(row, keep_tableau=True).tableau
+        tab = simplex.solve_lp(row).tableau
         assert tab.resolve((0.0, 0.0), (0.0, math.inf)).objective == 0.0
         assert tab.resolve((0.0, 0.0), (math.inf, math.inf)) is None
 

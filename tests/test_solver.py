@@ -1,5 +1,6 @@
 """Solver facade: dispatch, statuses, and the external round trip."""
 
+import math
 import os
 import sys
 import time
@@ -142,6 +143,11 @@ class TestExternalBackend:
             [LinearConstraint("r", (("x", 1.0),), GE, 5.0)], {"x": 1.0})
         ext = solve_model(model, SolverConfig(backend=EXTERNAL))
         assert ext.status is SolveStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("limit", [math.inf, 3e6])
+    def test_limit_past_the_poll_range_waits_without_timeout(self, limit):
+        ext = solve_model(lp_model(), SolverConfig(backend=EXTERNAL, time_limit=limit))
+        assert ext.status is SolveStatus.OPTIMAL
 
     def test_failing_command_raises(self):
         bad = f"external:{sys.executable} -c 'import sys; sys.exit(3)'"
