@@ -16,8 +16,10 @@ bound l <= y <= u is the pair of rows y - ground >= l and
 ground - y >= -u.  Equality rows (meetings, flat pins, fixed columns)
 are contracted first: a weighted union-find keeps every node as an
 offset from its block's root, so no equality reaches the network.
-Parallel rows between two blocks collapse to the tightest one, and
-pairs with the same blocks and offset to one pair with summed cost.
+`contract_equalities` does this, and `qp.py` contracts the `qwh`
+models with it too.  Parallel rows between two blocks collapse to the
+tightest one, and pairs with the same blocks and offset to one pair
+with summed cost.
 
 `solve_network` runs the primal network simplex on the LP dual, a
 min-cost flow: a row y_h - y_t >= d is an arc t -> h carrying flow in
@@ -62,6 +64,16 @@ class DifferenceForm:
     pairs: tuple[tuple[int, int, int], ...]
 
 
+def as_difference(cm: CompiledModel, i: int) -> tuple[int, int] | None:
+    """Columns (p, q) when row i reads `y_p - y_q`, else None."""
+    s, e = cm.starts[i], cm.starts[i + 1]
+    cols, coefs = cm.cols[s:e], cm.coefs[s:e]
+    if (e - s == 2 and cols[0] != cols[1] and coefs[0] == -coefs[1]
+            and abs(coefs[0]) == 1.0):
+        return (cols[0], cols[1]) if coefs[0] == 1.0 else (cols[1], cols[0])
+    return None
+
+
 def difference_form(cm: CompiledModel) -> DifferenceForm | None:
     """The model's rows as a network, or None when it has another form."""
     if any(cm.quad) or any(v.integral for v in cm.variables):
@@ -70,10 +82,9 @@ def difference_form(cm: CompiledModel) -> DifferenceForm | None:
     for i, row in enumerate(cm.constraints):
         s, e = cm.starts[i], cm.starts[i + 1]
         cols, coefs = cm.cols[s:e], cm.coefs[s:e]
-        if (e - s == 2 and cols[0] != cols[1] and coefs[0] == -coefs[1]
-                and abs(coefs[0]) == 1.0):
-            p, q = cols if coefs[0] == 1.0 else cols[::-1]
-            diffs.append((p, q, row.sense, row.rhs))
+        pq = as_difference(cm, i)
+        if pq is not None:
+            diffs.append((*pq, row.sense, row.rhs))
         elif e - s == 3 and row.sense != EQ and row.rhs == 0.0:
             sign = 1.0 if row.sense == LE else -1.0
             plus = [j for j, c in zip(cols, coefs) if c * sign == 1.0]
@@ -164,27 +175,48 @@ class _Network:
     n_blocks: int
 
 
-def _contract(cm: CompiledModel, form: DifferenceForm,
-              node: dict[int, int]) -> _Network | None:
-    """Contract the equalities and collect arcs; None if the rows contradict."""
-    inf = math.inf
-    finite = [abs(b) for b in (*cm.lower, *cm.upper) if abs(b) < inf]
-    scale = 1.0 + max((*finite, *(abs(r) for *_, r in form.diffs)), default=0.0)
-    tol = _REL_TOL * scale
+def contract_equalities(cm: CompiledModel, node: dict[int, int],
+                        eqs: list[tuple[int, int, float]], tol: float):
+    """Blocks of the nodes once fixed columns and equality rows are contracted.
+
+    `node` maps columns to nodes 1.., node 0 being ground, and `eqs` holds
+    `(p, q, r)` for the row `y_p - y_q = r` on columns.  The joins are the
+    fixed columns, in column order, each tied to ground at its bound, then
+    `eqs`.  Returns `(block, off, n_blocks)`: node -> block (ground's is
+    0) and node -> level above its block; or None if the joins contradict
+    one another.
+    """
+    joins = [(v, 0, cm.lower[j]) for j, v in node.items()
+             if cm.lower[j] == cm.upper[j]]
+    joins += [(node[p], node[q], r) for p, q, r in eqs]
     levels = _Levels(len(node) + 1)
-    for j, v in node.items():
-        if cm.lower[j] == cm.upper[j] and not levels.join(v, 0, cm.lower[j], tol):
-            return None
-    for p, q, sense, r in form.diffs:
-        if sense == EQ and not levels.join(node[p], node[q], r, tol):
+    for p, q, r in joins:
+        if not levels.join(p, q, r, tol):
             return None
     roots = [levels.find(v) for v in range(len(node) + 1)]
     ids: dict[int, int] = {}
     for v, r in enumerate(roots):
         if v == r:
             ids[v] = len(ids)
-    block = [ids[r] for r in roots]
-    off = levels.off
+    return [ids[r] for r in roots], levels.off, len(ids)
+
+
+def tolerance(cm: CompiledModel, rhs) -> float:
+    """Contradiction tolerance: relative to the largest finite bound or rhs."""
+    finite = [abs(b) for b in (*cm.lower, *cm.upper) if abs(b) < math.inf]
+    return _REL_TOL * (1.0 + max((*finite, *map(abs, rhs)), default=0.0))
+
+
+def _contract(cm: CompiledModel, form: DifferenceForm,
+              node: dict[int, int]) -> _Network | None:
+    """Contract the equalities and collect arcs; None if the rows contradict."""
+    inf = math.inf
+    tol = tolerance(cm, (r for *_, r in form.diffs))
+    found = contract_equalities(
+        cm, node, [(p, q, r) for p, q, sense, r in form.diffs if sense == EQ], tol)
+    if found is None:
+        return None
+    block, off, n_blocks = found
 
     rows: dict[tuple[int, int], float] = {}
 
@@ -224,7 +256,7 @@ def _contract(cm: CompiledModel, form: DifferenceForm,
     head = [h for _, h in rows] + [h for _, h, _ in pairs]
     delta = list(rows.values()) + [d for _, _, d in pairs]
     cap = [inf] * len(rows) + list(pairs.values())
-    return _Network(block, off, tail, head, delta, cap, len(ids))
+    return _Network(block, off, tail, head, delta, cap, n_blocks)
 
 
 def solve_network(cm: CompiledModel, form: DifferenceForm, *,

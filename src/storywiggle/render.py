@@ -25,8 +25,7 @@ MEETING_FILL = "#d4d4d4"
 BACKGROUND = "#ffffff"
 
 
-def compute_x_positions(inst: OrderedStorylineInstance,
-                        plan: RoutingPlan) -> list[float]:
+def compute_x_positions(plan: RoutingPlan) -> list[float]:
     """World x of each step; index 0 is step 1."""
     pad = GAP_PADDING / UNIT_SCALE
     xs = [0.0]
@@ -56,7 +55,7 @@ def character_colors(inst: OrderedStorylineInstance) -> dict[str, str]:
 def render_svg(inst: OrderedStorylineInstance, coord: Coordination,
                plan: RoutingPlan, title: str | None = None) -> str:
     """Standalone SVG document for a routed layout."""
-    xs = compute_x_positions(inst, plan)
+    xs = compute_x_positions(plan)
     y_min, y_max = coord.min_y(), coord.max_y()
 
     def fmt(v: float) -> str:

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,8 @@ from storywiggle.instance import minimal_stack_coordination
 from storywiggle.programs import (EQ, GE, LE, LinearConstraint,
                                   OptimizationModel, Variable,
                                   assignment_from_coordination,
-                                  build_qwh_program, model_violations,
+                                  build_qwh_program, compile_model,
+                                  extract_coordination, model_violations,
                                   objective_value)
 from storywiggle import qp as qp_mod
 from storywiggle.qp import solve_qp
@@ -199,6 +201,20 @@ class TestDegenerateEqualities:
         assert held.duals["_lb_z"] == pytest.approx(6.0, abs=1e-12)
         assert_kkt_clean(held, tol=1e-9)
 
+    def test_fixed_column_holds_a_row(self):
+        # x is fixed at 2 and y >= x + 1 holds y at 3 against its pull
+        # 2y = 6, which the row hands on to x's lower bound
+        model = qp([Variable("x", 2.0, 2.0), Variable("y", -5.0, 5.0)],
+                   [LinearConstraint("r", (("y", 1.0), ("x", -1.0)), GE, 1.0)],
+                   {}, {"y": 1.0})
+        assert qp_mod._difference_qp(compile_model(model)) is not None
+        r = solve_qp(model)
+        assert r.x == pytest.approx({"x": 2.0, "y": 3.0}, abs=1e-12)
+        assert r.duals["r"] == pytest.approx(6.0, abs=1e-12)
+        assert r.duals["_lb_x"] == pytest.approx(6.0, abs=1e-12)
+        assert r.duals["_ub_x"] == pytest.approx(0.0, abs=1e-12)
+        assert_kkt_clean(r, tol=1e-9)
+
     def test_full_column_rank(self):
         # x + y = 3 and x - y = 1 leave one point, (2, 1), whatever the
         # objective; its upper bound on y is tight there
@@ -226,6 +242,28 @@ class TestDegenerateEqualities:
         assert_kkt_clean(r, tol=1e-9)
 
 
+# the seed-7 ladder optima that `test_ladder_qwh_optima_are_frozen` holds
+FROZEN = [((10, 10), 60.125), ((15, 15), 732.4476190476191),
+          ((20, 20), 971.9380952380952)]
+
+
+def ladder_rung(shape):
+    # a seed-7 rung of the benchmark ladder, with the stacked layout the
+    # pipeline warm-starts from
+    inst, params = generate_instance(*shape, seed=7, meeting_prob=0.5)
+    model, index = build_qwh_program(inst, params)
+    warm = assignment_from_coordination(
+        model, index, minimal_stack_coordination(inst, params))
+    return model, index, warm
+
+
+def dense(model, **kw):
+    """The dense null-space path: the reference for the block path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qp_mod, "_difference_qp", lambda cm: None)
+        return solve_qp(model, **kw)
+
+
 @pytest.mark.parametrize("shape, optimum", [((10, 10), 60.125),
                                             ((15, 15), 732.4476190476191),
                                             ((20, 20), 971.9380952380952)],
@@ -242,6 +280,115 @@ def test_ladder_qwh_optima_are_frozen(shape, optimum):
     assert sum(r.stats[k] for k in STEPS) == r.iterations
     assert r.objective == pytest.approx(optimum, rel=1e-9, abs=0.0)
     assert_kkt_clean(r, tol=1e-9)
+
+
+class TestBlockPath:
+    """Difference-form QPs run on contracted blocks, every other QP dense."""
+
+    def test_ladder_needs_no_svd_or_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense factorization on the block path")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for shape, optimum in FROZEN:
+            model, _, warm = ladder_rung(shape)
+            r = solve_qp(model, warm=warm)
+            assert r.status == "optimal"
+            assert r.objective == pytest.approx(optimum, rel=1e-9, abs=0.0)
+            assert_kkt_clean(r, tol=1e-9)
+
+    @pytest.mark.parametrize("shape, blocks", [((10, 10), 25), ((15, 15), 65),
+                                               ((20, 20), 80)], ids=str)
+    def test_qwh_null_dim_is_its_block_count(self, shape, blocks):
+        # the meeting rows of a step chain its members into one block
+        model, index, warm = ladder_rung(shape)
+        meetings = sum(row.name.startswith("meet_") for row in model.constraints)
+        assert qp_mod._difference_qp(compile_model(model)) is not None
+        assert len(index.y) - meetings == blocks
+        assert solve_qp(model, warm=warm).stats["null_dim"] == blocks
+        assert dense(model, warm=warm).stats["null_dim"] == blocks
+
+    def test_other_rows_stay_dense(self):
+        model = qp([Variable("x"), Variable("y")],
+                   [eq("r", (("x", 1.0), ("y", 1.0)), 2.0)],
+                   {}, {"x": 1.0, "y": 1.0})
+        assert qp_mod._difference_qp(compile_model(model)) is None
+        r = solve_qp(model)
+        assert r.stats["null_dim"] == 1
+        assert r.x == pytest.approx({"x": 1.0, "y": 1.0}, abs=1e-12)
+
+    @pytest.mark.parametrize("shape, optimum", FROZEN, ids=str)
+    def test_ray_back_to_the_frozen_optimum(self, shape, optimum):
+        # sum d^2 is blind to a common shift, so no qwh gradient has a
+        # flat component; a unit cost on the y that the frozen optimum puts
+        # at 0 gives the shift one without moving the optimum, and from
+        # the stacked layout raised by 5 the first step rides it down
+        model, index, warm = ladder_rung(shape)
+        frozen = solve_qp(model, warm=warm)
+        low = min(index.y.values(), key=lambda name: (frozen.x[name], name))
+        assert frozen.x[low] == 0.0
+        model.objective[low] = 1.0
+        raised = {name: value + (5.0 if name in index.y.values() else 0.0)
+                  for name, value in warm.items()}
+        r = solve_qp(model, warm=raised)
+        assert r.status == "optimal" and r.stats["ray_steps"] > 0
+        assert r.objective == pytest.approx(optimum, rel=1e-9, abs=0.0)
+        assert_kkt_clean(r, tol=1e-9)
+
+    @pytest.mark.parametrize("shape, optimum", FROZEN, ids=str)
+    def test_floating_start_follows_the_dense_path(self, shape, optimum):
+        # from the stacked layout raised by 5 nothing touches ground, so
+        # the Newton steps move components with no ground; held orthogonal
+        # to the flat shift, as the dense path's are, they take the same
+        # steps to the same layout
+        model, index, warm = ladder_rung(shape)
+        raised = {name: value + (5.0 if name in index.y.values() else 0.0)
+                  for name, value in warm.items()}
+        r, ref = solve_qp(model, warm=raised), dense(model, warm=raised)
+        assert r.iterations == ref.iterations
+        assert r.objective == pytest.approx(optimum, rel=1e-9, abs=0.0)
+        assert r.x == pytest.approx(ref.x, abs=1e-9)
+
+    def test_cold_start_comes_from_the_network(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simplex probe on the block path")
+
+        monkeypatch.setattr(qp_mod, "solve_lp", refuse)
+        (shape, optimum), = FROZEN[:1]
+        model, _, _ = ladder_rung(shape)
+        r = solve_qp(model)
+        assert r.status == "optimal"
+        assert r.objective == pytest.approx(optimum, rel=1e-9, abs=0.0)
+        assert solve_qp(model, time_limit=0.0).status == "time_limit"
+        x, y = Variable("x", -5.0, 5.0), Variable("y", -5.0, 5.0)
+        apart = qp([x, y], [LinearConstraint("a", (("x", 1.0), ("y", -1.0)), GE, 1.0),
+                            LinearConstraint("b", (("y", 1.0), ("x", -1.0)), GE, 1.0)],
+                   {}, {"x": 1.0})
+        assert solve_qp(apart).status == "infeasible"
+        tied = qp([x, y], [eq("a", (("x", 1.0), ("y", -1.0)), 1.0),
+                           eq("b", (("y", 1.0), ("x", -1.0)), 1.0)],
+                  {}, {"x": 1.0})
+        assert solve_qp(tied).status == "infeasible"
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.tuples(st.integers(3, 7), st.integers(3, 7)),
+       seed=st.integers(0, 100_000),
+       delta=st.floats(0.25, 3.0), delta_bar=st.floats(0.25, 3.0),
+       cold=st.booleans())
+def test_block_path_matches_dense(shape, seed, delta, delta_bar, cold):
+    inst, params = generate_instance(*shape, seed=seed, meeting_prob=0.5,
+                                     delta=delta, delta_bar=delta_bar)
+    model, index = build_qwh_program(inst, params)
+    warm = None if cold else assignment_from_coordination(
+        model, index, minimal_stack_coordination(inst, params))
+    r, ref = solve_qp(model, warm=warm), dense(model, warm=warm)
+    assert r.status == ref.status == "optimal"
+    assert r.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-12)
+    assert_kkt_clean(r, tol=1e-9)
+    assert_kkt_clean(ref, tol=1e-9)
+    extract_coordination(index, r.x)
 
 
 @pytest.mark.parametrize("model, rays", [

@@ -99,7 +99,7 @@ class TestColors:
 class TestGeometryPlacement:
     def test_x_positions_accumulate_gap_windows(self):
         inst, coord, plan = crossing_scene()
-        xs = compute_x_positions(inst, plan)
+        xs = compute_x_positions(plan)
         pad = render.GAP_PADDING / render.UNIT_SCALE
         assert xs[0] == 0.0
         assert xs[1] == pytest.approx(plan.gaps[0].dx + 2.0 * pad)
@@ -108,7 +108,7 @@ class TestGeometryPlacement:
         inst, coord, plan = demo_scene()
         svg = render_svg(inst, coord, plan)
         m = re.search(r'width="([\d.]+)" height="([\d.]+)"', svg)
-        xs = compute_x_positions(inst, plan)
+        xs = compute_x_positions(plan)
         span = coord.max_y() - coord.min_y()
         assert float(m.group(1)) == pytest.approx(
             2.0 * render.MARGIN + xs[-1] * render.UNIT_SCALE, abs=1e-3)
