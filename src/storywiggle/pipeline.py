@@ -20,11 +20,12 @@ from dataclasses import dataclass, replace
 from .instance import (Coordination, LayoutMetrics,
                        NicenessParams, OrderedStorylineInstance,
                        centered_stack_coordination, compute_metrics,
-                       load_instance, minimal_stack_coordination)
+                       load_instance, minimal_stack_coordination,
+                       neighbor_sets)
 from .oracle import OracleLimitError, oracle_optimum
-from .programs import (ModelError, assignment_from_coordination, big_y,
-                       build_lwh_program, build_qwh_program, build_wc_program,
-                       extract_coordination, objective_value)
+from .programs import (ModelError, VariableIndex, assignment_from_coordination,
+                       big_y, build_lwh_program, build_qwh_program,
+                       build_wc_program, extract_coordination, objective_value)
 from .render import render_svg
 from .routing import route_all_gaps
 from .solver import SolveStatus, SolverConfig, default_backend, solve_model
@@ -104,6 +105,8 @@ def _solve_objective(inst: OrderedStorylineInstance, params: NicenessParams,
                                  minimal_stack_coordination(inst, params)),))
         if result.kkt is not None:
             extras["kktResidual"] = max(result.kkt.values())
+        if result.x is not None:
+            result = replace(result, x=_lower_loose_blocks(index, result.x))
     elif objective == "wc":
         model, index = build_wc_program(inst, params)
         warm = [assignment_from_coordination(
@@ -136,6 +139,41 @@ def _solve_objective(inst: OrderedStorylineInstance, params: NicenessParams,
     extras["solveSeconds"] = result.stats.get("solve_seconds", 0.0)
     coord = None if result.x is None else extract_coordination(index, result.x)
     return result.status, coord, result.objective, extras
+
+
+def _lower_loose_blocks(index: VariableIndex,
+                        x: dict[str, float]) -> dict[str, float]:
+    """`x` with each loose block of a step at the lowest level it may take.
+
+    A block is a run of a step's ordering joined by meetings.  It is loose
+    when each of its characters is alive at that step only: then its
+    levels enter no objective term, and any level the step's rows allow
+    is optimal, so where a solver leaves it depends on its path.  Blocks
+    are settled bottom up, each on the level below it held fixed: just
+    `delta_bar` above it, or at 0.
+    """
+    inst, params = index.inst, index.params
+    x = dict(x)
+    for t in range(1, inst.time_steps + 1):
+        order = inst.ordering_at(t)
+        if not order:
+            continue
+        meets = set(neighbor_sets(inst, t).meeting_pairs)
+        blocks = [[order[0]]]
+        for pair in zip(order, order[1:]):
+            if pair in meets:
+                blocks[-1].append(pair[1])
+            else:
+                blocks.append([pair[1]])
+        below = None
+        for block in blocks:
+            if all(inst.activity[c] == (t, t) for c in block):
+                level = (0.0 if below is None
+                         else x[index.y[(t, below)]] + params.delta_bar)
+                for k, c in enumerate(block):
+                    x[index.y[(t, c)]] = level + k * params.delta
+            below = block[-1]
+    return x
 
 
 def _oracle_check(inst: OrderedStorylineInstance, params: NicenessParams,

@@ -24,7 +24,9 @@ stopped), `best_bound` and relative `gap` (a continuous optimum's own
 objective and 0; for branch and bound, the least open bound and a float
 gap, inf until both are finite), `duals` and QP `kkt` residuals where a
 solver has them, its counters in `stats` (`iterations` and `nodes` are
-also attributes), and, for an optimum of `solve_lp`, its `tableau`.
+also attributes), and, for an optimum of `solve_lp`, its `tableau` and
+the column `values` as an array in model order.  An optimum of
+`Tableau.resolve` carries `values` but names no `x`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from .instance import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .simplex import Tableau
 
 LE = "<="
@@ -80,6 +84,7 @@ class SolveResult:
     kkt: dict[str, float] | None = None
     stats: dict[str, float] = field(default_factory=dict)
     tableau: Tableau | None = field(default=None, compare=False, repr=False)
+    values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.status is SolveStatus.OPTIMAL and self.best_bound is None:

@@ -13,23 +13,30 @@ values are read from.  Pricing is steepest-edge-flavored with a Bland
 fallback after a run of degenerate steps, and nonbasic columns may sit
 at either bound (bound flips do not pivot).
 
-Tableaux of at least `_SPARSE_MIN_CELLS` cells pivot sparsely.  The
-storyline models are difference constraints, so pivot columns and rows
-are sparse: on the 25x30 `lwh` LP (859 rows by 2206 columns) the median
-pivot column has 29 nonzeros, the median pivot row 14, and a pivot
-changes 0.3 % of the tableau on average.  The rank-1 update then
-touches only the block of nonzero pivot-column rows by nonzero
-pivot-row columns; every cell outside it would have had a zero
-subtracted, so T keeps exactly the values the dense update gives.
-Reduced costs and squared column norms are kept between pivots and
-recomputed, with the same expressions as the dense path, for the pivot
-row's nonzero columns only: no other column of T changed, and its price
-term for the pivot row is zero before and after.  Pricing, the ratio
-test and the Bland fallback therefore see the same numbers and choose
-the same pivots.  Small tableaux keep the dense update, because the
-extra numpy calls cost more than they save there: timed on seed-7
-storyline LPs, the sparse path took 1.2-1.3x the dense time below 3k
-cells, 0.9-1.04x between 9k and 18k, and at most 0.9x from 24k up.
+Tableaux of at least `_SPARSE_MIN_CELLS` cells pivot sparsely, and
+those of at least `_ROWS_MIN_CELLS` update only the rows where the pivot
+column is nonzero.  The storyline models are difference constraints, so
+pivot columns and rows are sparse: on the 25x30 `lwh` LP (859 rows by
+2206 columns) the median pivot column has 29 nonzeros, the median pivot
+row 14, and a pivot changes 0.3 % of the tableau on average; a dual
+pivot of the seed-7 8x8 `wc` search changes a median 15 of 88 rows.
+The rank-1 update touches only the nonzero pivot-column rows, and on
+the sparse path only their cells in nonzero pivot-row columns; every
+cell outside would have had a zero subtracted, so T keeps exactly the
+values the full update gives.  Reduced costs and squared column norms
+are kept between pivots on the sparse path and recomputed, with the
+same expressions as the dense path, for the pivot row's nonzero columns
+only: no other column of T changed, and its price term for the pivot
+row is zero before and after.  Pricing, the ratio test and the Bland
+fallback therefore see the same numbers and choose the same pivots on
+every path.  Small tableaux keep the full update, because the extra
+numpy calls cost more than they save there: timed on seed-7 storyline
+LPs (one 2-vCPU VM, BLAS on one thread), updating only the nonzero rows
+took 1.01-1.09x the full update's time below 3k cells, 0.99x at 6k
+and 0.83-0.87x from 9k up; the sparse path took 1.06-1.24x the dense
+time below 10k cells, 0.93-0.99x between 17k and 24k, and at most 0.82x
+from 46k up.  On the trimmed node tableaux of the `wc` searches (4k-11k
+cells) it took 1.03-1.09x the dense time.
 
 Every optimum of `solve_lp` carries the `Tableau` it was solved on.
 Bounds enter a tableau only through the values of its nonbasic columns,
@@ -41,6 +48,14 @@ reduced cost may have changed sign; `resolve` first moves each column to
 the bound its reduced cost asks for.  Without that step the dual loop
 starts from a basis that is not dual feasible, and branch and bound
 reported 7 of its 13 benchmark `wc` optima too high.
+
+The first `resolve` drops the phase-1 artificial block, which
+`solve_lp` has read the duals from (`_drop_artificials`): on the 8x8
+`wc` model the node tableau shrinks from 88x215 to 88x127.  Once phase
+1 ends, a nonbasic artificial is fixed at 0, so it never enters the
+dual ratio test and adds an exact zero to every `Tb - T x`; every node
+value stays bit-identical, as checked on all 5045 node LPs of the 13
+benchmark `wc` searches at two relabelings.
 """
 
 from __future__ import annotations
@@ -55,6 +70,7 @@ from .programs import (EQ, LE, CompiledModel, ModelError, OptimizationModel,
 
 _STALL_LIMIT = 60
 _SPARSE_MIN_CELLS = 20_000
+_ROWS_MIN_CELLS = 3_000
 _DUAL_MAXITER = 1000
 _MAXITER = 50000
 
@@ -63,8 +79,9 @@ class Tableau:
     """The simplex state of one compiled model, pivoted in place.
 
     Rows read `T x' = Tb` over x' = x - rest: the model's columns and one
-    slack per inequality (`nreal` columns), then one artificial per row.
-    Rows with a negative right-hand side are negated (`flips`).  Nonbasic
+    slack per inequality (`nreal` columns), then one artificial per row
+    until the first `resolve` drops them (`_drop_artificials`).  Rows
+    with a negative right-hand side are negated (`flips`).  Nonbasic
     columns sit at 0, or at `upper` where `at_upper`; lower bounds are 0,
     or -inf where `open_below` (None if nowhere), so model bounds
     l <= x <= u become l - rest <= x' <= u - rest.
@@ -117,13 +134,15 @@ class Tableau:
             self.at_upper |= self.open_below & np.isfinite(self.upper)
         self.ctol = 1e-9 * (1.0 + (np.abs(self.cost).max() if n else 0.0))
         self.sparse = T.size >= _SPARSE_MIN_CELLS     # decided once
-        self.r = None       # phase-2 reduced costs, from the first `resolve` on
+        self.r = None       # reduced costs, kept from the first `resolve` on
 
     def _pivot(self, rr, j):
         """Make column j basic in row rr.
 
-        Returns the pivot row's nonzero columns on the sparse path (the only
-        columns whose entries or price changed), None on the dense one.
+        From `_ROWS_MIN_CELLS` cells up, only the rows with a nonzero in
+        column j are updated (see the module docstring).  Returns the pivot
+        row's nonzero columns on the sparse path (the only columns whose
+        entries or price changed), None on the dense one.
         """
         T, Tb, basis = self.T, self.Tb, self.basis
         lv = basis[rr]
@@ -134,10 +153,12 @@ class Tableau:
         col[rr] = 0.0
         nz_cols = None
         if self.sparse:
-            # cells outside this block would only lose a signed zero
-            nz_rows = np.flatnonzero(col)
-            nz_cols = np.flatnonzero(T[rr])
+            nz_rows = col.nonzero()[0]
+            nz_cols = T[rr].nonzero()[0]
             T[np.ix_(nz_rows, nz_cols)] -= np.outer(col[nz_rows], T[rr, nz_cols])
+        elif T.size >= _ROWS_MIN_CELLS:
+            nz_rows = col.nonzero()[0]
+            T[nz_rows] -= np.outer(col[nz_rows], T[rr])
         else:
             T -= np.outer(col, T[rr])
         Tb -= col * Tb[rr]
@@ -176,7 +197,7 @@ class Tableau:
                 (~at_upper & (r < -ctol)) | (at_upper & (r > ctol)))
             if free is not None:
                 cand |= free & ~in_basis & (r > ctol)
-            idx = np.flatnonzero(cand)
+            idx = cand.nonzero()[0]
             if idx.size == 0:
                 return SolveStatus.OPTIMAL, iters
             if iters > 1 and deadline is not None and time.perf_counter() >= deadline:
@@ -206,7 +227,7 @@ class Tableau:
                 continue
             if not math.isfinite(row_min):
                 return SolveStatus.UNBOUNDED, iters
-            rows = np.flatnonzero(ratios <= row_min + 1e-12)
+            rows = (ratios <= row_min + 1e-12).nonzero()[0]
             if bland:
                 rr = rows[np.argmin(basis[rows])]
             else:
@@ -229,31 +250,65 @@ class Tableau:
         return SolveStatus.ITERATION_LIMIT, iters
 
     def _basic_values(self):
-        up_idx = np.flatnonzero(self.at_upper)
+        up_idx = self.at_upper.nonzero()[0]
         if up_idx.size:
             return self.Tb - self.T[:, up_idx] @ self.upper[up_idx]
         return self.Tb.copy()
 
-    def _optimum(self, x_full, iters, duals=None):
-        """The optimal result at column values `x_full`, measured from `rest`."""
-        x = dict(zip(self.names, (x_full[:self.rest.size] + self.rest).tolist()))
+    def _optimum(self, x_full, stats, duals=None):
+        """The optimal result at column values `x_full`, measured from `rest`.
+
+        A cold solve (`duals` given) also names the values in `x`;
+        `resolve` leaves that to its caller, which needs few of them.
+        """
+        values = x_full[:self.rest.size] + self.rest
+        x = None if duals is None else dict(zip(self.names, values.tolist()))
         return SolveResult(SolveStatus.OPTIMAL, x,
                            float(self.cost @ x_full + self.const), duals=duals,
-                           stats={"iterations": iters}, tableau=self)
+                           stats=stats, tableau=self, values=values)
+
+    def _drop_artificials(self):
+        """Shrink the tableau to its `nreal` columns before the first `resolve`.
+
+        A nonbasic artificial is fixed at 0 once phase 1 ends: it never
+        enters `_dual` and adds an exact zero to `Tb - T x`, so dropping it
+        changes no value.  An artificial still basic (at level 0) first
+        leaves by a dual ratio test in either direction, which keeps the
+        basis dual feasible.  Where no column can replace it, its row
+        restates fixed columns only, and the row goes too.
+        """
+        nreal = self.nreal
+        self.r = self.cost - self.cost[self.basis] @ self.T
+        keep = np.ones(self.T.shape[0], dtype=bool)
+        for rr in np.flatnonzero(self.basis >= nreal):
+            if not (self._dual_pivot(rr, True, self.allow)
+                    or self._dual_pivot(rr, False, self.allow)):
+                keep[rr] = False
+        self.T = self.T[keep, :nreal]
+        self.Tb, self.flips, self.basis = (
+            self.Tb[keep], self.flips[keep], self.basis[keep])
+        self.r, self.cost, self.upper = (
+            self.r[:nreal], self.cost[:nreal], self.upper[:nreal])
+        self.in_basis, self.at_upper, self.allow = (
+            self.in_basis[:nreal], self.at_upper[:nreal], self.allow[:nreal])
+        if self.open_below is not None:
+            self.open_below = self.open_below[:nreal]
+        self.sparse = self.T.size >= _SPARSE_MIN_CELLS
 
     def resolve(self, lower, upper,
                 time_limit: float | None = None) -> SolveResult | None:
         """Reoptimize under model column bounds `lower`/`upper`.
 
-        Returns None where this tableau cannot answer and a cold solve
-        must: a nonbasic column with no finite bound, or whose reduced
-        cost points at an infinite one, or a dual loop out of iterations.
-        Once `time_limit` (seconds) has run out, the dual loop stops
-        before its next pivot with `time_limit`.
+        An optimum carries the column `values` and no `x` dict.  Returns
+        None where this tableau cannot answer and a cold solve must: a
+        nonbasic column with no finite bound, or whose reduced cost points
+        at an infinite one, or a dual loop out of iterations.  Once
+        `time_limit` (seconds) has run out, the dual loop stops before its
+        next pivot with `time_limit`.
         """
         deadline = None if time_limit is None else time.perf_counter() + time_limit
         if self.r is None:
-            self.r = self.cost - self.cost[self.basis] @ self.T
+            self._drop_artificials()
         n = self.rest.size
         lo = np.zeros(self.upper.size)
         up = self.upper.copy()
@@ -285,22 +340,19 @@ class Tableau:
             return None
         if status is not SolveStatus.OPTIMAL:
             return SolveResult(status, stats={"iterations": iters})
-        return self._optimum(x_full, iters)
+        return self._optimum(x_full, {"iterations": iters})
 
     def _dual(self, lo, up, deadline):
         """Bounded dual simplex from a dual feasible basis.
 
         Nonbasic columns sit at `lo`, or at `up` where `at_upper`.  The basic
-        variable furthest outside its bounds leaves at the bound it broke;
-        the entering column is the one whose reduced cost reaches zero first
-        as that row's dual moves (the dual ratio test), ties going to the
-        largest pivot.  When no column can move the row back, the bounds are
-        infeasible.  The reduced costs `r` are kept current.  The deadline
-        is checked before every pivot.  Returns the status, the pivot count
-        and, if optimal, every column's value.
+        variable furthest outside its bounds leaves at the bound it broke
+        (`_dual_pivot`).  When no column can move the row back, the bounds
+        are infeasible.  The deadline is checked before every pivot.
+        Returns the status, the pivot count and, if optimal, every column's
+        value.
         """
         T, Tb, basis, at_upper = self.T, self.Tb, self.basis, self.at_upper
-        r, c = self.r, self.cost
         m = T.shape[0]
         movable = self.allow & (up > lo)
         iters = 0
@@ -319,24 +371,37 @@ class Tableau:
                 return SolveStatus.ITERATION_LIMIT, iters, None
             if deadline is not None and time.perf_counter() >= deadline:
                 return SolveStatus.TIME_LIMIT, iters, None
-            to_lower = below[rr] > 0.0
-            # how far row rr moves toward its broken bound per unit step of
-            # each column away from its own bound
-            step = np.where(at_upper, T[rr], -T[rr])
-            if not to_lower:
-                step = -step
-            idx = np.flatnonzero(movable & ~self.in_basis & (step > 1e-9))
-            if idx.size == 0:
+            if not self._dual_pivot(rr, below[rr] > 0.0, movable):
                 return SolveStatus.INFEASIBLE, iters, None
-            d = np.maximum(np.where(at_upper[idx], -r[idx], r[idx]), 0.0)
-            ratios = d / step[idx]
-            ties = idx[ratios <= ratios.min() + 1e-12]
-            q = ties[np.argmax(step[ties])]
-            at_upper[basis[rr]] = not to_lower
-            nz_cols = self._pivot(rr, q)
             iters += 1
-            cols = slice(None) if nz_cols is None else nz_cols
-            r[cols] = c[cols] - c[basis] @ T[:, cols]
+
+    def _dual_pivot(self, rr, to_lower, movable):
+        """Pivot row rr's basic column out at its lower bound, else its upper.
+
+        The entering column is the `movable` one whose reduced cost reaches
+        zero first as that row's dual moves (the dual ratio test), ties
+        going to the largest pivot; the reduced costs `r` are kept current.
+        Returns False, pivoting nothing, when no column can move the row
+        toward that bound.
+        """
+        T, r, at_upper = self.T, self.r, self.at_upper
+        # how far row rr moves toward the bound per unit step of each
+        # column away from its own bound
+        step = np.where(at_upper, T[rr], -T[rr])
+        if not to_lower:
+            step = -step
+        idx = (movable & ~self.in_basis & (step > 1e-9)).nonzero()[0]
+        if idx.size == 0:
+            return False
+        d = np.maximum(np.where(at_upper[idx], -r[idx], r[idx]), 0.0)
+        ratios = d / step[idx]
+        ties = idx[ratios <= ratios.min() + 1e-12]
+        q = ties[np.argmax(step[ties])]
+        at_upper[self.basis[rr]] = not to_lower
+        nz_cols = self._pivot(rr, q)
+        cols = slice(None) if nz_cols is None else nz_cols
+        r[cols] = self.cost[cols] - self.cost[self.basis] @ T[:, cols]
+        return True
 
 
 def solve_lp(model: OptimizationModel | CompiledModel, *,
@@ -348,7 +413,9 @@ def solve_lp(model: OptimizationModel | CompiledModel, *,
     its `Tableau` for `Tableau.resolve`.  Once `time_limit` (seconds) has
     run out, either phase stops before its next pivot with `time_limit`;
     a phase that needs one pivot still takes it, so a small feasibility
-    probe finishes under any budget.
+    probe finishes under any budget.  `stats` counts the iterations of
+    each phase (`phase1_pivots`, `phase2_pivots`) and their sum
+    (`iterations`).
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     cm = compile_model(model)
@@ -360,21 +427,22 @@ def solve_lp(model: OptimizationModel | CompiledModel, *,
     art_tol = 1e-7 * (1.0 + (abs(tab.Tb).max() if m else 0.0))
     status, it1 = tab._primal(np.concatenate([np.zeros(nreal), np.ones(m)]),
                               deadline)
+    stats = {"iterations": it1, "phase1_pivots": it1, "phase2_pivots": 0}
     if status in (SolveStatus.ITERATION_LIMIT, SolveStatus.TIME_LIMIT):
-        return SolveResult(status, stats={"iterations": it1})
+        return SolveResult(status, stats=stats)
     xB = tab._basic_values()
     art_sum = float(xB[tab.basis >= nreal].sum()) if m else 0.0
     if art_sum > art_tol:
-        return SolveResult(SolveStatus.INFEASIBLE, stats={"iterations": it1})
+        return SolveResult(SolveStatus.INFEASIBLE, stats=stats)
     tab.upper[nreal:] = 0.0
 
     status, it2 = tab._primal(tab.cost, deadline)
-    iters = it1 + it2
+    stats.update(iterations=it1 + it2, phase2_pivots=it2)
     if status is not SolveStatus.OPTIMAL:
-        return SolveResult(status, stats={"iterations": iters})
+        return SolveResult(status, stats=stats)
     x_full = np.where(tab.at_upper & np.isfinite(tab.upper), tab.upper, 0.0)
     x_full[tab.basis] = tab._basic_values()
     y = tab.cost[tab.basis] @ tab.T[:, nreal:] if m else np.zeros(0)
     duals = {row.name: float(y[i] * tab.flips[i])
              for i, row in enumerate(cm.constraints)}
-    return tab._optimum(x_full, iters, duals)
+    return tab._optimum(x_full, stats, duals)

@@ -31,6 +31,11 @@ EASY_WC = {11: 4.277777777777778, 12: 4.2631578947368425,
            66: 4.2631578947368425, 69: 4.25, 70: 4.235294117647059,
            71: 4.352941176470589, 84: 4.2272727272727275,
            85: 4.2631578947368425}
+# Their search, as (nodes, dual pivots), pinned so that a change to the
+# node arithmetic shows up as a failing count rather than silent drift.
+EASY_WC_SEARCH = {11: (47, 87), 12: (55, 126), 25: (77, 134), 34: (54, 115),
+                  41: (65, 98), 56: (57, 86), 66: (53, 95), 69: (62, 114),
+                  70: (65, 108), 71: (55, 103), 84: (56, 124), 85: (72, 131)}
 
 
 def ilp(variables, constraints, objective):
@@ -130,6 +135,23 @@ class TestHandCases:
         assert r.status == "optimal" and r.objective == EASY_WC[11]
         assert len(seen) == r.nodes > 1
         assert all(0.0 <= left <= 60.0 for left in seen)
+
+    def test_search_counters(self):
+        # min -x  s.t.  2x <= 3,  x in 0..5 integral.  The root LP makes
+        # one pivot (x enters at 1.5) in phase 1, which takes one more
+        # pass to find no entering column, as phase 2 does at once.  The
+        # floor child x <= 1 pivots once (the slack enters) to x = 1, the
+        # incumbent; the ceiling child x >= 2 pivots once (x re-enters at
+        # 1.5) and then finds no column to lift it: infeasible.
+        model = ilp([Variable("x", 0.0, 5.0, True)],
+                    [LinearConstraint("r", (("x", 2.0),), LE, 3.0)],
+                    {"x": -1.0})
+        assert solve_lp(model).stats == {
+            "iterations": 3, "phase1_pivots": 2, "phase2_pivots": 1}
+        r = solve_ilp(model)
+        assert r.status == "optimal" and r.x == {"x": 1.0}
+        assert r.stats == {"nodes": 3, "dual_pivots": 2, "cold_solves": 1,
+                           "infeasible_nodes": 1, "root_bound": -1.5}
 
     def test_node_limit_reports_bound(self, monkeypatch):
         model = random_ilp(99)
@@ -237,12 +259,21 @@ class TestWarmNodes:
         r = solve_checking_nodes(model, warm=(warm,))
         assert r.status == "optimal" and r.objective == EASY_WC[seed]
 
+    @pytest.mark.parametrize("seed", sorted(EASY_WC))
+    def test_wc_search_is_pinned(self, seed):
+        model, warm = wc_model(6, 6, seed)
+        r = solve_ilp(model, warm=(warm,))
+        assert r.status == "optimal" and r.objective == EASY_WC[seed]
+        assert (r.nodes, r.stats["dual_pivots"]) == EASY_WC_SEARCH[seed]
+        assert r.stats["cold_solves"] == 1
+
     @pytest.mark.parametrize("seed", [11, 41, 84])
     def test_sparse_pivots_match_cold_solves(self, seed):
         model, warm = wc_model(6, 6, seed)
         with mock.patch.object(simplex, "_SPARSE_MIN_CELLS", 0):
             r = solve_checking_nodes(model, warm=(warm,))
         assert r.status == "optimal" and r.objective == EASY_WC[seed]
+        assert (r.nodes, r.stats["dual_pivots"]) == EASY_WC_SEARCH[seed]
 
     def test_random_nodes_match_cold_solves(self):
         statuses = set()

@@ -15,12 +15,15 @@ from storywiggle import branch_bound
 from storywiggle import pipeline as pipeline_mod
 from storywiggle.cli import main as cli_main
 from storywiggle.generate import generate_instance
-from storywiggle.instance import compute_metrics, instance_to_dict
+from storywiggle.instance import (compute_metrics, instance_to_dict,
+                                  minimal_stack_coordination, parse_instance)
 from storywiggle.oracle import OracleLimitError
 from storywiggle.pipeline import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_MISMATCH,
                                   EXIT_OK, EXIT_TIME, OBJECTIVES, RunConfig,
                                   compare_objectives, format_compare_table,
                                   run_pipeline)
+from storywiggle.programs import (assignment_from_coordination,
+                                  build_qwh_program)
 from storywiggle.solver import SolveResult, SolverConfig, SolveStatus
 
 INSTANCES = Path(__file__).parent.parent / "instances"
@@ -158,6 +161,43 @@ def test_wc_layout_is_exact():
     assert status is SolveStatus.OPTIMAL
     assert compute_metrics(inst, coord).as_report()["totalHeight"] == 6.0
     assert all(y == round(y) for _, y in coord.items())
+
+
+# c and d meet at step 2 only, e lives at step 2 only but meets b there,
+# and g lives at step 3 only
+LOOSE = {"characters": [{"id": "a", "activeFrom": 1, "activeTo": 3},
+                        {"id": "b", "activeFrom": 1, "activeTo": 3},
+                        {"id": "c", "activeFrom": 2, "activeTo": 2},
+                        {"id": "d", "activeFrom": 2, "activeTo": 2},
+                        {"id": "e", "activeFrom": 2, "activeTo": 2},
+                        {"id": "g", "activeFrom": 3, "activeTo": 3}],
+         "meetings": [{"t": 2, "members": ["b", "e"]},
+                      {"t": 2, "members": ["c", "d"]}],
+         "orderings": [["a", "b"], ["a", "b", "e", "c", "d"], ["a", "b", "g"]],
+         "params": {"delta": 1.0, "deltaBar": 2.0}}
+
+
+def test_qwh_lowers_one_step_blocks():
+    # c, d and g enter no objective term, so the QP may leave them
+    # anywhere above their lower neighbors; they go just delta_bar above
+    # them.  The block of e is tied to b and stays where it was.
+    inst, params = parse_instance(json.dumps(LOOSE))
+    model, index = build_qwh_program(inst, params)
+    lifted = assignment_from_coordination(
+        model, index, minimal_stack_coordination(inst, params))
+    for key in ((2, "c"), (2, "d"), (3, "g")):
+        lifted[index.y[key]] += 3.0
+    lowered = pipeline_mod._lower_loose_blocks(index, lifted)
+    assert {n: v for n, v in lowered.items() if v != lifted[n]} == {
+        index.y[(2, "c")]: 5.0, index.y[(2, "d")]: 6.0, index.y[(3, "g")]: 4.0}
+    assert lowered[index.y[(2, "e")]] == 3.0
+
+    status, coord, _, _ = pipeline_mod._solve_objective(
+        inst, params, "qwh", SolverConfig(backend="builtin"))
+    assert status is SolveStatus.OPTIMAL
+    assert coord.y(2, "c") == coord.y(2, "e") + 2.0
+    assert coord.y(2, "d") == coord.y(2, "c") + 1.0
+    assert coord.y(3, "g") == coord.y(3, "b") + 2.0
 
 
 class TestInputErrors:

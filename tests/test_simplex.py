@@ -203,14 +203,46 @@ class TestTableau:
                 if cold.status == "optimal":
                     assert warm.objective == pytest.approx(cold.objective,
                                                            abs=1e-12)
-                    assert warm.x == pytest.approx(cold.x, abs=1e-12)
+                    assert warm.values == pytest.approx(cold.values,
+                                                        abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["pivoted", "redundant"])
+    def test_resolve_drops_basic_artificials(self, case):
+        # Phase 1 leaves the artificial of the first row basic at level 0.
+        # Where a column can replace it (-y = 0 pins y), it is pivoted
+        # out; where its row repeats another, the row goes with it.
+        x, y = Variable("x", 0.0, 3.0), Variable("y", 0.0, 3.0)
+        if case == "pivoted":
+            model = lp([x, y], [LinearConstraint("pin", (("y", -1.0),), EQ, 0.0),
+                                LinearConstraint("cap", (("x", 1.0), ("y", 1.0)),
+                                                 LE, 2.0)],
+                       {"x": -1.0, "y": 1.0})
+            trimmed = (2, 3)
+        else:
+            model = lp([x, y], [LinearConstraint("a", (("x", 1.0), ("y", 1.0)),
+                                                 EQ, 2.0),
+                                LinearConstraint("b", (("x", 2.0), ("y", 2.0)),
+                                                 EQ, 4.0)],
+                       {"x": 1.0, "y": 2.0})
+            trimmed = (1, 2)
+        tab = simplex.solve_lp(model).tableau
+        assert (tab.basis >= tab.nreal).any()
+        for lower, upper in [((0.0, 0.0), (1.0, 3.0)), ((0.0, 1.0), (3.0, 3.0)),
+                             ((0.0, 0.0), (0.5, 3.0)), ((0.0, 0.0), (3.0, 3.0))]:
+            warm = tab.resolve(lower, upper)
+            assert tab.T.shape == trimmed and (tab.basis < tab.nreal).all()
+            cold = solve_lp(replace(compile_model(model), lower=lower, upper=upper))
+            assert warm.status == cold.status
+            if cold.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+                assert warm.values == pytest.approx(cold.values, abs=1e-12)
 
     def test_resolve_stops_at_a_zero_budget(self):
         tab = simplex.solve_lp(self.box()).tableau
         r = tab.resolve((0.0, 0.0), (0.5, 2.0), time_limit=0.0)  # needs a pivot
         assert r.status == "time_limit" and r.x is None
-        assert tab.resolve((0.0, 0.0), (2.0, 2.0), time_limit=0.0).x == \
-            pytest.approx({"x": 1.0, "y": 2.0})             # needs none
+        assert tab.resolve((0.0, 0.0), (2.0, 2.0), time_limit=0.0).values == \
+            pytest.approx([1.0, 2.0])                       # needs none
 
     def test_resolve_defers_what_it_cannot_answer(self):
         tab = simplex.solve_lp(self.box()).tableau
@@ -221,8 +253,8 @@ class TestTableau:
         tab = simplex.solve_lp(free).tableau
         warm = tab.resolve((0.0,), (math.inf,))           # free column bounded
         cold = solve_lp(replace(compile_model(free), lower=(0.0,)))
-        assert (warm.status, warm.x, warm.objective) == \
-            (cold.status, cold.x, cold.objective)
+        assert (warm.status, warm.values.tolist(), warm.objective) == \
+            (cold.status, cold.values.tolist(), cold.objective)
         # x, fixed at 0, leaves at its upper bound with a negative reduced
         # cost; freed again, the bound its cost asks for is infinite
         row = lp([Variable("x", 0.0, math.inf), Variable("y", 0.0, math.inf)],
