@@ -1,28 +1,33 @@
-"""Network simplex for LPs whose rows are differences of two columns.
+"""The difference graph of a model, and the network simplex that solves it.
 
-`difference_form` accepts a pure LP in which every row is either a
-difference `y_p - y_q (<=, >=, =) r`, or one of a pair
-`y_a - y_b - w <= 0`, `y_b - y_a - w <= 0` whose column w lies in
-[0, inf), costs c >= 0 and appears in no other row, and in which every
-other column costs 0.  Minimizing such a model minimizes
-sum c |y_a - y_b| over a system of difference constraints: the
+`difference_form` reads each row of a compiled model once.  A row is a
+difference `y_p - y_q (<=, >=, =) r`; one of a pair `y_a - y_b - w <= 0`,
+`y_b - y_a - w <= 0` whose column w lies in [0, inf), costs c >= 0 and
+appears in no other row; or a link `y_p - y_q + s d = r`, s = +-1, whose
+column d is free, curved (q_d > 0) and in no other row.  Any other row
+means the model has no difference form.  `contract` turns a form into a
+`DifferenceGraph`: every column that is no pair's w and no link's d is a
+node, and one ground node sits at level 0, so a finite bound
+l <= y <= u is the pair of arcs y - ground >= l and ground - y >= -u.
+Fixed columns and equality rows are contracted first: a weighted
+union-find keeps every node as an offset from its block's root, so no
+equality is left as an arc.  Every inequality row and bound then is an
+arc between two blocks, listed in dual order.
+
+Two solvers read the graph.  `qp._Blocks` runs the active-set QP on its
+block levels (the `qwh` models: links and no pairs).  `solve_network`
+solves a network LP, a form with no links, no quadratic or integral
+column and costs on pair columns only: minimizing it minimizes
+sum c |y_a - y_b| over a system of difference constraints, the
 coordinate-assignment LP of Gansner et al. 1993 ("A technique for
 drawing directed graphs", IEEE TSE, section 4).  The `lwh` models and
-`max_wiggle_free_set`'s flat-pinned models have this form; routing,
-`qwh` and `wc` models do not.
-
-Each y column is a node, and one ground node sits at level 0: a finite
-bound l <= y <= u is the pair of rows y - ground >= l and
-ground - y >= -u.  Equality rows (meetings, flat pins, fixed columns)
-are contracted first: a weighted union-find keeps every node as an
-offset from its block's root, so no equality reaches the network.
-`contract_equalities` does this, and `qp.py` contracts the `qwh`
-models with it too.  Parallel rows between two blocks collapse to the
-tightest one, and pairs with the same blocks and offset to one pair
-with summed cost.
+`max_wiggle_free_set`'s flat-pinned models are network LPs; routing
+stage 2 (costs on levels), `qwh` and `wc` models are not.  Parallel arcs
+between two blocks collapse to the tightest one, and pairs with the
+same blocks and offset to one pair with summed cost.
 
 `solve_network` runs the primal network simplex on the LP dual, a
-min-cost flow: a row y_h - y_t >= d is an arc t -> h carrying flow in
+min-cost flow: an arc y_h - y_t >= d is an arc t -> h carrying flow in
 [0, inf) at cost -d, and a pair is an arc a -> b carrying flow in
 [-c, c] at cost -d, for its offset d.  The node potentials are the
 levels y, an arc's reduced cost is its slack y_h - y_t - d, and the
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .programs import EQ, GE, LE, CompiledModel, SolveResult, SolveStatus
@@ -54,38 +60,57 @@ _PRICE_TOL = 1e-11       # reduced cost that still counts as zero, relative
 
 @dataclass(frozen=True)
 class DifferenceForm:
-    """A model's rows read as differences and absolute-difference pairs.
+    """A model's rows read as differences, pairs and links.
 
-    `diffs` holds `(p, q, sense, rhs)` for the row `y_p - y_q sense rhs`;
-    `pairs` holds `(w, a, b)` for the two rows that make w >= |y_a - y_b|.
+    `diffs` holds `(i, p, q)` for row i reading `y_p - y_q`, `pairs`
+    `(w, a, b)` for the two rows that make w >= |y_a - y_b|, and `links`
+    `(i, d, p, q, s)` for row i reading `y_p - y_q + s d = rhs`.
     """
 
-    diffs: tuple[tuple[int, int, str, float], ...]
+    diffs: tuple[tuple[int, int, int], ...]
     pairs: tuple[tuple[int, int, int], ...]
+    links: tuple[tuple[int, int, int, int, float], ...]
+
+    def is_network_lp(self, cm: CompiledModel) -> bool:
+        """Whether `solve_network` finds the model's optimum."""
+        paid = {w for w, _, _ in self.pairs}
+        return (not self.links and not any(cm.quad)
+                and not any(v.integral for v in cm.variables)
+                and all(j in paid for j, c in enumerate(cm.cost) if c))
 
 
-def as_difference(cm: CompiledModel, i: int) -> tuple[int, int] | None:
-    """Columns (p, q) when row i reads `y_p - y_q`, else None."""
-    s, e = cm.starts[i], cm.starts[i + 1]
-    cols, coefs = cm.cols[s:e], cm.coefs[s:e]
-    if (e - s == 2 and cols[0] != cols[1] and coefs[0] == -coefs[1]
+def _as_difference(cols, coefs) -> tuple[int, int] | None:
+    """Columns (p, q) when the terms read `y_p - y_q`, else None."""
+    if (len(cols) == 2 and cols[0] != cols[1] and coefs[0] == -coefs[1]
             and abs(coefs[0]) == 1.0):
         return (cols[0], cols[1]) if coefs[0] == 1.0 else (cols[1], cols[0])
     return None
 
 
 def difference_form(cm: CompiledModel) -> DifferenceForm | None:
-    """The model's rows as a network, or None when it has another form."""
-    if any(cm.quad) or any(v.integral for v in cm.variables):
-        return None
-    diffs, triples = [], []
+    """The model's rows as a difference graph, or None when it has another form."""
+    inf = math.inf
+    uses = Counter(cm.cols)
+    diffs, triples, links = [], [], []
     for i, row in enumerate(cm.constraints):
         s, e = cm.starts[i], cm.starts[i + 1]
         cols, coefs = cm.cols[s:e], cm.coefs[s:e]
-        pq = as_difference(cm, i)
+        pq = _as_difference(cols, coefs)
         if pq is not None:
-            diffs.append((*pq, row.sense, row.rhs))
-        elif e - s == 3 and row.sense != EQ and row.rhs == 0.0:
+            diffs.append((i, *pq))
+        elif e - s != 3:
+            return None
+        elif row.sense == EQ:
+            for k, d in enumerate(cols):
+                pq = _as_difference(cols[:k] + cols[k + 1:], coefs[:k] + coefs[k + 1:])
+                if (pq is not None and abs(coefs[k]) == 1.0 and uses[d] == 1
+                        and cm.quad[d] > 0.0 and cm.lower[d] == -inf
+                        and cm.upper[d] == inf):
+                    links.append((i, d, *pq, coefs[k]))
+                    break
+            else:
+                return None
+        elif row.rhs == 0.0:
             sign = 1.0 if row.sense == LE else -1.0
             plus = [j for j, c in zip(cols, coefs) if c * sign == 1.0]
             minus = [j for j, c in zip(cols, coefs) if c * sign == -1.0]
@@ -94,20 +119,11 @@ def difference_form(cm: CompiledModel) -> DifferenceForm | None:
             triples.append((plus[0], *minus))
         else:
             return None
-    uses = [0] * len(cm.variables)
-    for p, q, _, _ in diffs:
-        uses[p] += 1
-        uses[q] += 1
-    minus_uses = [0] * len(cm.variables)
-    for a, m1, m2 in triples:
-        uses[a] += 1
-        for j in (m1, m2):
-            uses[j] += 1
-            minus_uses[j] += 1
+    minus_uses = Counter(j for _, *minus in triples for j in minus)
 
     def is_w(j: int) -> bool:
         return (uses[j] == minus_uses[j] == 2 and cm.lower[j] == 0.0
-                and cm.upper[j] == math.inf and cm.cost[j] >= 0.0)
+                and cm.upper[j] == inf and cm.cost[j] >= 0.0)
 
     rows_of: dict[int, list[tuple[int, int]]] = {}
     for a, m1, m2 in triples:
@@ -120,9 +136,7 @@ def difference_form(cm: CompiledModel) -> DifferenceForm | None:
         if a1 == b1 or (a2, b2) != (b1, a1):
             return None
         pairs.append((w, a1, b1))
-    if any(cm.cost[j] != 0.0 for j in range(len(cm.variables)) if j not in rows_of):
-        return None
-    return DifferenceForm(tuple(diffs), tuple(pairs))
+    return DifferenceForm(tuple(diffs), tuple(pairs), tuple(links))
 
 
 class _Levels:
@@ -163,88 +177,120 @@ class _Levels:
 
 
 @dataclass
-class _Network:
-    """Contracted blocks (0 is ground) and the arcs between them."""
+class DifferenceGraph:
+    """A difference form with its equalities contracted (module docstring).
 
-    block: list[int]          # node -> block
-    off: list[float]          # node -> level above its block
+    `node` maps each column that is no pair's w and no link's d to its
+    node 1.., node 0 being ground; `block` maps a node to its block
+    (ground's is 0) and `off` to its level above the block's.  `joins`
+    holds `(dual, head, tail)` for each equation level(head) - level(tail)
+    = r contracted: every fixed column to ground at its lower bound (dual
+    m + j), in column order, then the equality rows (dual i).  The arc k
+    reads `Y[block[head[k]]] - Y[block[tail[k]]] >= delta[k]` on the block
+    levels Y, for the `>=` row `dual[k]`: the inequality rows in model
+    order, then each node column's finite lower (m + j) and upper
+    (m + n + j) bound, fixed ones included.
+    """
+
+    form: DifferenceForm
+    node: dict[int, int]
+    block: list[int]
+    off: list[float]
+    n_blocks: int
+    joins: list[tuple[int, int, int]]
+    dual: list[int]
     tail: list[int]
     head: list[int]
     delta: list[float]
-    cap: list[float]          # inf for a row, c for a pair
-    n_blocks: int
+    tol: float                # contradiction tolerance
+
+    def solve(self, cm: CompiledModel, deadline: float | None) -> SolveResult:
+        """Minimize the pairs' costs over the arcs by the network simplex.
+
+        That is the optimum of a network LP, and a feasible point of any
+        other form.  Pairs and links take the values their rows give them.
+        """
+        net = _network(self, cm)
+        if net is None:
+            return SolveResult(SolveStatus.INFEASIBLE)
+        status, pot, iterations, degenerate = _simplex(*net, self.n_blocks, deadline)
+        stats = {"iterations": iterations, "degenerate_pivots": degenerate}
+        if status is not SolveStatus.OPTIMAL:
+            return SolveResult(status, stats=stats)
+        level = [0.0] * len(cm.variables)
+        for j, v in self.node.items():
+            level[j] = pot[self.block[v]] + self.off[v]
+        for w, a, b in self.form.pairs:
+            level[w] = abs(level[a] - level[b])
+        for i, d, p, q, s in self.form.links:
+            level[d] = s * (cm.constraints[i].rhs - level[p] + level[q])
+        x = {v.name: level[j] for j, v in enumerate(cm.variables)}
+        objective = sum(c * level[j] for j, c in enumerate(cm.cost) if c)
+        return SolveResult(SolveStatus.OPTIMAL, x, objective, stats=stats)
 
 
-def contract_equalities(cm: CompiledModel, node: dict[int, int],
-                        eqs: list[tuple[int, int, float]], tol: float):
-    """Blocks of the nodes once fixed columns and equality rows are contracted.
+def contract(cm: CompiledModel, form: DifferenceForm) -> DifferenceGraph | None:
+    """The graph of a form, or None when its equalities contradict one another."""
+    inf = math.inf
+    m, n = len(cm.constraints), len(cm.variables)
+    derived = {w for w, _, _ in form.pairs} | {d for _, d, *_ in form.links}
+    node = {j: k + 1 for k, j in enumerate(j for j in range(n) if j not in derived)}
+    rhs = [cm.constraints[i].rhs for i, _, _ in form.diffs]
+    finite = [abs(b) for b in (*cm.lower, *cm.upper) if abs(b) < inf]
+    tol = _REL_TOL * (1.0 + max((*finite, *map(abs, rhs)), default=0.0))
 
-    `node` maps columns to nodes 1.., node 0 being ground, and `eqs` holds
-    `(p, q, r)` for the row `y_p - y_q = r` on columns.  The joins are the
-    fixed columns, in column order, each tied to ground at its bound, then
-    `eqs`.  Returns `(block, off, n_blocks)`: node -> block (ground's is
-    0) and node -> level above its block; or None if the joins contradict
-    one another.
-    """
-    joins = [(v, 0, cm.lower[j]) for j, v in node.items()
+    joins = [(m + j, v, 0, cm.lower[j]) for j, v in node.items()
              if cm.lower[j] == cm.upper[j]]
-    joins += [(node[p], node[q], r) for p, q, r in eqs]
+    arcs = []
+    for (i, p, q), r in zip(form.diffs, rhs):
+        sense = cm.constraints[i].sense
+        if sense == EQ:
+            joins.append((i, node[p], node[q], r))
+        elif sense == GE:
+            arcs.append((i, node[q], node[p], r))
+        else:
+            arcs.append((i, node[p], node[q], -r))
+    for j, v in node.items():
+        if cm.lower[j] > -inf:
+            arcs.append((m + j, 0, v, cm.lower[j]))
+        if cm.upper[j] < inf:
+            arcs.append((m + n + j, v, 0, -cm.upper[j]))
+
     levels = _Levels(len(node) + 1)
-    for p, q, r in joins:
-        if not levels.join(p, q, r, tol):
+    for _, h, t, r in joins:
+        if not levels.join(h, t, r, tol):
             return None
     roots = [levels.find(v) for v in range(len(node) + 1)]
     ids: dict[int, int] = {}
-    for v, r in enumerate(roots):
-        if v == r:
+    for v, root in enumerate(roots):
+        if v == root:
             ids[v] = len(ids)
-    return [ids[r] for r in roots], levels.off, len(ids)
+    off = levels.off
+    return DifferenceGraph(
+        form, node, [ids[root] for root in roots], off, len(ids),
+        [join[:3] for join in joins], [a[0] for a in arcs], [a[1] for a in arcs],
+        [a[2] for a in arcs], [r + off[t] - off[h] for _, t, h, r in arcs], tol)
 
 
-def tolerance(cm: CompiledModel, rhs) -> float:
-    """Contradiction tolerance: relative to the largest finite bound or rhs."""
-    finite = [abs(b) for b in (*cm.lower, *cm.upper) if abs(b) < math.inf]
-    return _REL_TOL * (1.0 + max((*finite, *map(abs, rhs)), default=0.0))
+def _network(graph: DifferenceGraph, cm: CompiledModel):
+    """The network's arcs between blocks: `(tail, head, delta, cap)`.
 
-
-def _contract(cm: CompiledModel, form: DifferenceForm,
-              node: dict[int, int]) -> _Network | None:
-    """Contract the equalities and collect arcs; None if the rows contradict."""
+    The tightest arc per block pair comes first, in first-seen order,
+    with cap inf, then the merged pairs with cap c.  None if an arc
+    inside a block contradicts the contraction.
+    """
     inf = math.inf
-    tol = tolerance(cm, (r for *_, r in form.diffs))
-    found = contract_equalities(
-        cm, node, [(p, q, r) for p, q, sense, r in form.diffs if sense == EQ], tol)
-    if found is None:
-        return None
-    block, off, n_blocks = found
-
+    block, off, node = graph.block, graph.off, graph.node
     rows: dict[tuple[int, int], float] = {}
-
-    def need(t: int, h: int, d: float) -> bool:
-        # level(h) - level(t) >= d, between the blocks of t and h
+    for t, h, d in zip(graph.tail, graph.head, graph.delta):
         T, H = block[t], block[h]
-        d += off[t] - off[h]
         if T == H:
-            return d <= tol
-        if rows.get((T, H), -inf) < d:
+            if d > graph.tol:
+                return None
+        elif rows.get((T, H), -inf) < d:
             rows[(T, H)] = d
-        return True
-
-    for p, q, sense, r in form.diffs:
-        if sense == GE and not need(node[q], node[p], r):
-            return None
-        if sense == LE and not need(node[p], node[q], -r):
-            return None
-    for j, v in node.items():
-        lo, hi = cm.lower[j], cm.upper[j]
-        if lo == hi:
-            continue
-        if lo > -inf and not need(0, v, lo):
-            return None
-        if hi < inf and not need(v, 0, -hi):
-            return None
     pairs: dict[tuple[int, int, float], float] = {}
-    for w, a, b in form.pairs:
+    for w, a, b in graph.form.pairs:
         A, B = block[node[a]], block[node[b]]
         d = off[node[a]] - off[node[b]]
         if cm.cost[w] == 0.0 or A == B:
@@ -256,41 +302,31 @@ def _contract(cm: CompiledModel, form: DifferenceForm,
     head = [h for _, h in rows] + [h for _, h, _ in pairs]
     delta = list(rows.values()) + [d for _, _, d in pairs]
     cap = [inf] * len(rows) + list(pairs.values())
-    return _Network(block, off, tail, head, delta, cap, n_blocks)
+    return tail, head, delta, cap
 
 
 def solve_network(cm: CompiledModel, form: DifferenceForm, *,
                   time_limit: float | None = None) -> SolveResult:
-    """Minimize a model in difference form (see the module docstring).
+    """Minimize a network LP (see `DifferenceForm.is_network_lp`).
 
     Once `time_limit` (seconds) has run out, the solve stops before its
     next pivot, or before its first once the starting tree is built, with
     `time_limit` and no assignment.
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
-    w_cols = {w for w, _, _ in form.pairs}
-    node = {j: k + 1 for k, j in enumerate(
-        j for j in range(len(cm.variables)) if j not in w_cols)}
-    net = _contract(cm, form, node)
-    if net is None:
+    graph = contract(cm, form)
+    if graph is None:
         return SolveResult(SolveStatus.INFEASIBLE)
-    status, pot, iterations, degenerate = _simplex(net, deadline)
-    stats = {"iterations": iterations, "degenerate_pivots": degenerate}
-    if status is not SolveStatus.OPTIMAL:
-        return SolveResult(status, stats=stats)
-    level = {j: pot[net.block[v]] + net.off[v] for j, v in node.items()}
-    for w, a, b in form.pairs:
-        level[w] = abs(level[a] - level[b])
-    x = {v.name: level[j] for j, v in enumerate(cm.variables)}
-    objective = sum(c * level[j] for j, c in enumerate(cm.cost) if c)
-    return SolveResult(SolveStatus.OPTIMAL, x, objective, stats=stats)
+    return graph.solve(cm, deadline)
 
 
-def _simplex(net: _Network, deadline: float | None):
-    """Primal network simplex; returns (status, potentials, pivots, degenerate)."""
+def _simplex(tail: list[int], head: list[int], delta: list[float],
+             cap: list[float], n: int, deadline: float | None):
+    """Primal network simplex on n blocks (0 is ground), appending far arcs.
+
+    Returns (status, potentials, pivots, degenerate pivots).
+    """
     inf = math.inf
-    tail, head, delta, cap = net.tail, net.head, net.delta, net.cap
-    n = net.n_blocks
     eps = _PRICE_TOL * (1.0 + max(map(abs, delta), default=0.0))
     lo = [-c if c < inf else 0.0 for c in cap]
     hi = list(cap)

@@ -18,10 +18,11 @@ chosen by the model's structure alone.
 Difference form (`_Blocks`).  Every row is a difference
 `y_p - y_q (<=, >=, =) r` or a link `y_p - y_q + s d = r`, s = +-1, whose
 column d is free, curved (q_d > 0) and in no other row: the `qwh`
-models.  The equalities and fixed columns are contracted into blocks as
-`network.solve_network` contracts them, so the iterate is one level per
-block, each link fixes its d, and every inequality is an arc between two
-blocks (a bound is an arc to ground).  Pinning arcs merges blocks into
+models.  `network.contract` contracts the equalities and fixed columns
+into blocks, as for the network simplex, so the iterate is one level
+per block, each link fixes its d, and the working set's rows are the
+graph's arcs between blocks (a bound is an arc to ground), already in
+the order of `_ge_rows`.  Pinning arcs merges blocks into
 super-blocks, the connected components of the pinned arcs, found
 afresh each iteration; the free super-blocks are the null-space basis.
 The reduced Hessian is the weighted Laplacian of the links between
@@ -30,13 +31,14 @@ super-block (or a curved y column), so the Newton step is a Laplacian
 solve, and a component with no ground is flat: a nonzero gradient sum
 on it is the ray.  On a zero step the multipliers are the flows on a
 spanning forest of the pinned arcs that carry each block's gradient to
-its tree's root; arcs that close a cycle get 0.  This is the
+its tree's root; arcs that close a cycle get 0, and the equality rows
+carry what is left along the contraction's joins.  This is the
 optimal-tension view of the QP (Rockafellar, Network Flows and
 Monotropic Optimization, 1984), and the merging of blocks is that of
 pool-adjacent-violators (Best and Chakravarti 1990, Math.
 Programming).  No matrix as wide as the model is formed, and no SVD.  A
-start that is not feasible comes from the network simplex on the
-difference rows at zero cost.
+start that is not feasible comes from the network simplex on the same
+graph, which ignores the objective there.
 
 Any other QP (`_Dense`).  One SVD of the equality rows E gives an
 orthonormal basis Ze of their null space; every iterate is x = x0 + Ze w
@@ -56,13 +58,11 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 
-from .network import (DifferenceForm, as_difference, contract_equalities,
-                      solve_network, tolerance)
+from .network import DifferenceGraph, contract, difference_form
 from .programs import (EQ, LE, CompiledModel, ModelError,
                        OptimizationModel, SolveResult, SolveStatus,
                        compile_model, model_violations)
@@ -97,53 +97,22 @@ def _ge_rows(cm: CompiledModel) -> list[int]:
     return rows
 
 
-def _difference_qp(cm: CompiledModel):
-    """`(diffs, links)` of a difference-form QP, or None for another form.
-
-    `diffs` holds `(i, p, q)` for row i reading `y_p - y_q`, and `links`
-    `(i, d, p, q, s)` for row i reading `y_p - y_q + s d = rhs`.
-    """
-    uses = Counter(cm.cols)
-    diffs, links = [], []
-    for i, row in enumerate(cm.constraints):
-        pq = as_difference(cm, i)
-        if pq is not None:
-            diffs.append((i, *pq))
-            continue
-        s, e = cm.starts[i], cm.starts[i + 1]
-        if e - s != 3 or row.sense != EQ:
-            return None
-        terms = list(zip(cm.cols[s:e], cm.coefs[s:e]))
-        for k, (d, s_d) in enumerate(terms):
-            (a, ca), (b, cb) = terms[:k] + terms[k + 1:]
-            if (abs(s_d) == 1.0 and uses[d] == 1 and cm.quad[d] > 0.0
-                    and cm.lower[d] == -math.inf and cm.upper[d] == math.inf
-                    and a != b and ca == -cb and abs(ca) == 1.0):
-                links.append((i, d, *((a, b) if ca == 1.0 else (b, a)), s_d))
-                break
-        else:
-            return None
-    return diffs, links
-
-
 def _feasible_start(cm: CompiledModel, warm: dict[str, float] | None,
-                    time_limit: float | None, diffs) -> dict[str, float] | SolveStatus:
+                    deadline: float | None,
+                    graph: DifferenceGraph | None) -> dict[str, float] | SolveStatus:
     """A feasible point, or the status of the probe that found none.
 
-    The probe minimizes zero over the rows: on the network simplex over
-    the difference rows `diffs` of a difference-form QP, its links left
-    out, else (`diffs` None) on the simplex.
+    The probe is the network simplex on the graph of a difference-form
+    QP, else (`graph` None) the simplex at zero cost.
     """
     if warm is not None and not model_violations(cm, warm, tol=1e-9):
         return dict(warm)
-    zero = (0.0,) * len(cm.variables)
-    probe = replace(cm, cost=zero, quad=zero)
-    if diffs is None:
-        res = solve_lp(probe, time_limit=time_limit)
+    if graph is not None:
+        res = graph.solve(cm, deadline)
     else:
-        rows = tuple((p, q, cm.constraints[i].sense, cm.constraints[i].rhs)
-                     for i, p, q in diffs)
-        res = solve_network(probe, DifferenceForm(rows, ()), time_limit=time_limit)
+        zero = (0.0,) * len(cm.variables)
+        left = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
+        res = solve_lp(replace(cm, cost=zero, quad=zero), time_limit=left)
     if res.status is SolveStatus.OPTIMAL:
         return res.x
     if res.status in (SolveStatus.INFEASIBLE, SolveStatus.TIME_LIMIT):
@@ -169,26 +138,18 @@ def solve_qp(model: OptimizationModel, *,
     once the working set is built.
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
-
-    def left():
-        return None if deadline is None else max(deadline - time.perf_counter(), 0.0)
-
     cm = compile_model(model)
-    ge = _ge_rows(cm)
-    form = _difference_qp(cm)
-    if form is None:
-        start = _feasible_start(cm, warm, left(), None)
-        if isinstance(start, SolveStatus):
-            return SolveResult(start)
-        ws = _Dense(cm, ge, start)
-    else:
-        ws = _Blocks.contract(cm, ge, *form)
-        if ws is None:
+    form = difference_form(cm)
+    graph = None
+    if form is not None and not form.pairs:
+        graph = contract(cm, form)
+        if graph is None:
             return SolveResult(SolveStatus.INFEASIBLE)
-        start = _feasible_start(cm, warm, left(), form[0])
-        if isinstance(start, SolveStatus):
-            return SolveResult(start)
-        ws.place(start)
+    start = _feasible_start(cm, warm, deadline, graph)
+    if isinstance(start, SolveStatus):
+        return SolveResult(start)
+    ws = _Dense(cm, start) if graph is None else _Blocks(cm, graph, start)
+    ge = ws.ge
 
     active = np.flatnonzero(ws.slack() <= _ACTIVE_TOL).tolist()
     lam_g = np.zeros(len(ge))
@@ -277,13 +238,12 @@ def solve_qp(model: OptimizationModel, *,
 class _Dense:
     """The working set of any QP, by SVDs of dense rows (module docstring)."""
 
-    def __init__(self, cm: CompiledModel, ge: list[int],
-                 start: dict[str, float]) -> None:
+    def __init__(self, cm: CompiledModel, start: dict[str, float]) -> None:
         m, n = len(cm.constraints), len(cm.variables)
         self.q = 2.0 * np.array(cm.quad, dtype=float)
         self.c = np.array(cm.cost, dtype=float)
         self.eq = [i for i, row in enumerate(cm.constraints) if row.sense == EQ]
-        self.ge = ge
+        self.ge = ge = _ge_rows(cm)
         rows = np.zeros((m, n))
         for i in range(m):
             for j, coef in cm.terms(i):
@@ -359,38 +319,24 @@ class _Dense:
 class _Blocks:
     """The working set of a difference-form QP, on block levels (module docstring).
 
-    Nodes are the non-link columns plus ground (node 0); the contraction
-    puts each node at its block's level plus an offset, with ground's
-    block 0 at level 0.  Inequality `a` of the working set reads
-    `Y[head[a]] - Y[tail[a]] >= delta[a]` on the block levels Y, and the
-    Hessian is the Laplacian of the edges `(ea, eb, ew)`: links and the
-    curved y columns (an edge to ground).
+    The graph's nodes are the non-link columns plus ground (node 0), each
+    at its block's level plus an offset, with ground's block 0 at level
+    0.  Its arcs are the working set's inequalities, and the Hessian is
+    the Laplacian of the edges `(ea, eb, ew)`: links and the curved y
+    columns (an edge to ground).
     """
 
-    @classmethod
-    def contract(cls, cm: CompiledModel, ge: list[int], diffs, links) -> _Blocks | None:
-        """The working set, or None when the equalities contradict."""
-        linked = {d for _, d, *_ in links}
-        node = {j: k + 1 for k, j in enumerate(
-            j for j in range(len(cm.variables)) if j not in linked)}
-        eqs = [(p, q, cm.constraints[i].rhs) for i, p, q in diffs
-               if cm.constraints[i].sense == EQ]
-        found = contract_equalities(
-            cm, node, eqs, tolerance(cm, (cm.constraints[i].rhs for i, *_ in diffs)))
-        if found is None:
-            return None
-        return cls(cm, ge, diffs, links, node, *found)
-
-    def __init__(self, cm, ge, diffs, links, node, block, off, n_blocks) -> None:
+    def __init__(self, cm: CompiledModel, graph: DifferenceGraph,
+                 start: dict[str, float]) -> None:
         self.m, self.n = m, n = len(cm.constraints), len(cm.variables)
-        self.ge = ge
+        self.ge = graph.dual
+        self.nb = n_blocks = graph.n_blocks
         self.null_dim = n_blocks - 1
-        self.nb = n_blocks
+        node = graph.node
         self.n_nodes = len(node) + 1
-        self.names = [v.name for v in cm.variables]
         self.q = 2.0 * np.array(cm.quad, dtype=float)
         self.c = np.array(cm.cost, dtype=float)
-        block, off = np.array(block), np.array(off)
+        block, off = np.array(graph.block), np.array(graph.off)
         col_node = np.zeros(n, dtype=int)            # 0 on the link columns
         col_node[list(node)] = list(node.values())
         self.ycol = np.array(list(node), dtype=int)
@@ -400,6 +346,7 @@ class _Blocks:
         self.ny = np.bincount(self.yblock, minlength=n_blocks).astype(float)
 
         # link k: d = s (r - y_p + y_q)
+        links = graph.form.links
         L = np.array([(i, d, p, q) for i, d, p, q, _ in links], dtype=int).reshape(-1, 4)
         self.lrow, self.lcol, self.lp, self.lq = L.T
         self.ls = np.array([s for *_, s in links], dtype=float)
@@ -412,23 +359,11 @@ class _Blocks:
         self.gcol = np.concatenate([self.ycol, self.lcol, self.lcol])
         self.gcoef = np.concatenate([np.ones(len(self.ycol)), -self.ls, self.ls])
 
-        # every difference row and bound in `>=` form, level(head) -
-        # level(tail) >= rhs, indexed as the duals; the working set's are
-        # arcs between blocks
-        D = np.array(diffs, dtype=int).reshape(-1, 3)
-        sense = [cm.constraints[i].sense for i in D[:, 0]]
-        le = np.array([s == LE for s in sense], dtype=bool)
-        r = np.array([cm.constraints[i].rhs for i in D[:, 0]], dtype=float)
-        p, q = col_node[D[:, 1]], col_node[D[:, 2]]
-        head, tail = np.zeros((2, m + 2 * n), dtype=int)
-        rhs = np.zeros(m + 2 * n)
-        head[D[:, 0]], tail[D[:, 0]] = np.where(le, q, p), np.where(le, p, q)
-        rhs[D[:, 0]] = np.where(le, -r, r)
-        head[m:m + n], rhs[m:m + n] = col_node, cm.lower
-        tail[m + n:], rhs[m + n:] = col_node, [-u for u in cm.upper]
-        self.hnode, self.tnode = head[ge], tail[ge]
+        # inequality a reads Y[head[a]] - Y[tail[a]] >= delta[a]
+        self.tnode = np.array(graph.tail, dtype=int)
+        self.hnode = np.array(graph.head, dtype=int)
         self.tail, self.head = block[self.tnode], block[self.hnode]
-        self.delta = rhs[ge] + off[self.tnode] - off[self.hnode]
+        self.delta = np.array(graph.delta, dtype=float)
 
         # Hessian edges between blocks: links, and curved y columns to ground
         curved = self.q[self.ycol] > 0.0
@@ -439,21 +374,15 @@ class _Blocks:
         self.ea, self.eb, self.ew = ea[keep], eb[keep], ew[keep]
         self.linked = _components(n_blocks, self.ea, self.eb)
 
-        # the equality rows' arcs, for their multipliers: fixed columns to
-        # ground first, as `contract_equalities` joins them, then the rows
-        self.fixed = np.array([j for j in node if cm.lower[j] == cm.upper[j]], dtype=int)
-        eq = D[[s == EQ for s in sense]]
-        self.eqrow = eq[:, 0]
-        self.eqhead = col_node[np.concatenate([self.fixed, eq[:, 1]])].tolist()
-        self.eqtail = np.concatenate([np.zeros(len(self.fixed), dtype=int),
-                                      col_node[eq[:, 2]]]).tolist()
-        self.Y = np.zeros(n_blocks)
+        # the contraction's joins carry the equality rows' multipliers
+        self.jdual = np.array([k for k, _, _ in graph.joins], dtype=int)
+        self.jhead = [h for _, h, _ in graph.joins]
+        self.jtail = [t for _, _, t in graph.joins]
         self._key = None
-
-    def place(self, start: dict[str, float]) -> None:
-        """Take the block levels from a feasible point."""
-        y = np.array([start[self.names[j]] for j in self.ycol])
-        self.Y[self.yblock] = y - self.yoff
+        # the block levels, from a feasible point
+        self.Y = np.zeros(n_blocks)
+        self.Y[self.yblock] = np.array([start[cm.variables[j].name]
+                                        for j in self.ycol]) - self.yoff
         self.Y[0] = 0.0
 
     def x(self) -> np.ndarray:
@@ -575,12 +504,12 @@ class _Blocks:
                 + np.bincount(self.lqnode, lam_link, nn)
                 - np.bincount(self.hnode, lam_g, nn)
                 + np.bincount(self.tnode, lam_g, nn))
-        flows = _forest_flows(nn, self.eqtail, self.eqhead, left)
-        nf = len(self.fixed)
-        lam[self.eqrow] = flows[nf:]
-        mu = np.array(flows[:nf])
-        lam[m + self.fixed] += np.maximum(mu, 0.0)
-        lam[m + n + self.fixed] += np.maximum(-mu, 0.0)
+        flows = np.array(_forest_flows(nn, self.jtail, self.jhead, left))
+        row = self.jdual < m
+        lam[self.jdual[row]] = flows[row]
+        fixed, mu = self.jdual[~row], flows[~row]     # m + j, at the lower bound
+        lam[fixed] += np.maximum(mu, 0.0)
+        lam[fixed + n] += np.maximum(-mu, 0.0)
         return x, lam
 
 

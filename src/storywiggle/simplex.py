@@ -47,7 +47,10 @@ A column that earlier bounds fixed (l = u) could not enter, so its
 reduced cost may have changed sign; `resolve` first moves each column to
 the bound its reduced cost asks for.  Without that step the dual loop
 starts from a basis that is not dual feasible, and branch and bound
-reported 7 of its 13 benchmark `wc` optima too high.
+reported 7 of its 13 benchmark `wc` optima too high.  A column that the
+cold solve itself fixed stays out of `allow`, which no loop lets enter,
+so bounds that give it room go to a cold solve (`resolve` returns None;
+branch and bound only tightens bounds and never asks that).
 
 The first `resolve` drops the phase-1 artificial block, which
 `solve_lp` has read the duals from (`_drop_artificials`): on the 8x8
@@ -173,7 +176,9 @@ class Tableau:
 
         A column open below with an infinite upper bound is free and enters
         either way.  `deadline` is checked before every pivot but the first,
-        so each call makes at least one pivot of progress.
+        so each call makes at least one pivot of progress.  Returns the
+        status, the passes (pricing rounds, the last one included), the
+        basis changes and the bound flips.
         """
         T, basis, in_basis, at_upper = self.T, self.basis, self.in_basis, self.at_upper
         upper, open_below, allow, sparse = (self.upper, self.open_below,
@@ -184,7 +189,7 @@ class Tableau:
         free = None if open_below is None else open_below & np.isinf(upper)
         bland = False
         stall = 0
-        iters = 0
+        iters = pivots = flips = 0
         if sparse:
             r = c - c[basis] @ T
             sq = (T ** 2).sum(axis=0)
@@ -199,9 +204,9 @@ class Tableau:
                 cand |= free & ~in_basis & (r > ctol)
             idx = cand.nonzero()[0]
             if idx.size == 0:
-                return SolveStatus.OPTIMAL, iters
+                return SolveStatus.OPTIMAL, iters, pivots, flips
             if iters > 1 and deadline is not None and time.perf_counter() >= deadline:
-                return SolveStatus.TIME_LIMIT, iters
+                return SolveStatus.TIME_LIMIT, iters, pivots, flips
             if bland:
                 j = idx[0]
             else:
@@ -221,12 +226,13 @@ class Tableau:
             t_own = math.inf if open_below is not None and open_below[j] else upper[j]
             if math.isfinite(t_own) and t_own <= row_min:
                 at_upper[j] = not at_upper[j]
+                flips += 1
                 stall = 0 if t_own > 1e-12 else stall + 1
                 if stall >= _STALL_LIMIT:
                     bland = True
                 continue
             if not math.isfinite(row_min):
-                return SolveStatus.UNBOUNDED, iters
+                return SolveStatus.UNBOUNDED, iters, pivots, flips
             rows = (ratios <= row_min + 1e-12).nonzero()[0]
             if bland:
                 rr = rows[np.argmin(basis[rows])]
@@ -235,6 +241,7 @@ class Tableau:
             # read before the pivot: g may view column j, which becomes a unit
             at_upper[basis[rr]] = g[rr] < 0
             nz_cols = self._pivot(rr, j)
+            pivots += 1
             if sparse:
                 # only the columns in the pivot row changed (or changed price)
                 changed = T[:, nz_cols]
@@ -247,7 +254,7 @@ class Tableau:
                 stall += 1
                 if stall >= _STALL_LIMIT:
                     bland = True
-        return SolveStatus.ITERATION_LIMIT, iters
+        return SolveStatus.ITERATION_LIMIT, iters, pivots, flips
 
     def _basic_values(self):
         up_idx = self.at_upper.nonzero()[0]
@@ -294,6 +301,9 @@ class Tableau:
         if self.open_below is not None:
             self.open_below = self.open_below[:nreal]
         self.sparse = self.T.size >= _SPARSE_MIN_CELLS
+        # the columns fixed in the first solve, which never entered its
+        # ratio tests and which `_dual` keeps out of them too
+        self.fixed = np.flatnonzero(~self.allow)
 
     def resolve(self, lower, upper,
                 time_limit: float | None = None) -> SolveResult | None:
@@ -301,8 +311,9 @@ class Tableau:
 
         An optimum carries the column `values` and no `x` dict.  Returns
         None where this tableau cannot answer and a cold solve must: a
-        nonbasic column with no finite bound, or whose reduced cost points
-        at an infinite one, or a dual loop out of iterations.  Once
+        column that the first solve fixed (l = u) given room, a nonbasic
+        column with no finite bound, or whose reduced cost points at an
+        infinite one, or a dual loop out of iterations.  Once
         `time_limit` (seconds) has run out, the dual loop stops before its
         next pivot with `time_limit`.
         """
@@ -314,6 +325,9 @@ class Tableau:
         up = self.upper.copy()
         lo[:n] = np.asarray(lower, dtype=float) - self.rest
         up[:n] = np.asarray(upper, dtype=float) - self.rest
+        fixed = self.fixed
+        if fixed.size and (up[fixed] > lo[fixed]).any():
+            return None
 
         # A column fixed (l = u) by an earlier solve could not enter its
         # ratio tests, so its reduced cost may now disagree with the bound
@@ -413,9 +427,10 @@ def solve_lp(model: OptimizationModel | CompiledModel, *,
     its `Tableau` for `Tableau.resolve`.  Once `time_limit` (seconds) has
     run out, either phase stops before its next pivot with `time_limit`;
     a phase that needs one pivot still takes it, so a small feasibility
-    probe finishes under any budget.  `stats` counts the iterations of
-    each phase (`phase1_pivots`, `phase2_pivots`) and their sum
-    (`iterations`).
+    probe finishes under any budget.  `stats` counts the basis changes of
+    each phase (`phase1_pivots`, `phase2_pivots`), the `bound_flips` of
+    both, and the passes of both (`iterations`): every pivot or flip, and
+    each phase's last pricing round.
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     cm = compile_model(model)
@@ -425,9 +440,10 @@ def solve_lp(model: OptimizationModel | CompiledModel, *,
     m, nreal = len(tab.Tb), tab.nreal
     # phase 1's residue is judged against the right-hand side before any pivot
     art_tol = 1e-7 * (1.0 + (abs(tab.Tb).max() if m else 0.0))
-    status, it1 = tab._primal(np.concatenate([np.zeros(nreal), np.ones(m)]),
-                              deadline)
-    stats = {"iterations": it1, "phase1_pivots": it1, "phase2_pivots": 0}
+    status, it1, pv1, fl1 = tab._primal(
+        np.concatenate([np.zeros(nreal), np.ones(m)]), deadline)
+    stats = {"iterations": it1, "phase1_pivots": pv1, "phase2_pivots": 0,
+             "bound_flips": fl1}
     if status in (SolveStatus.ITERATION_LIMIT, SolveStatus.TIME_LIMIT):
         return SolveResult(status, stats=stats)
     xB = tab._basic_values()
@@ -436,8 +452,8 @@ def solve_lp(model: OptimizationModel | CompiledModel, *,
         return SolveResult(SolveStatus.INFEASIBLE, stats=stats)
     tab.upper[nreal:] = 0.0
 
-    status, it2 = tab._primal(tab.cost, deadline)
-    stats.update(iterations=it1 + it2, phase2_pivots=it2)
+    status, it2, pv2, fl2 = tab._primal(tab.cost, deadline)
+    stats.update(iterations=it1 + it2, phase2_pivots=pv2, bound_flips=fl1 + fl2)
     if status is not SolveStatus.OPTIMAL:
         return SolveResult(status, stats=stats)
     x_full = np.where(tab.at_upper & np.isfinite(tab.upper), tab.upper, 0.0)

@@ -1,10 +1,10 @@
 """One entry point for all model solves, built-in or external.
 
-`solve_model` inspects the model (quadratic? integral? rows all
-differences?) and dispatches to the matching built-in solver.  The
-`external:<command>` backend instead round-trips through the LP file
-format: the command is invoked as `<command> in.lp out.sol` and must
-write a solution file of the shape
+`solve_model` inspects the model (quadratic? integral? a network LP in
+`network.difference_form`?) and dispatches to the matching built-in
+solver.  The `external:<command>` backend instead round-trips through
+the LP file format: the command is invoked as `<command> in.lp out.sol`
+and must write a solution file of the shape
 
     status optimal
     objective 12.5
@@ -83,7 +83,7 @@ def _solve_builtin(model: OptimizationModel, config: SolverConfig,
         return r if r.objective is not None else replace(r, gap=None)
     cm = compile_model(model)
     form = difference_form(cm)
-    if form is not None:
+    if form is not None and form.is_network_lp(cm):
         return solve_network(cm, form, time_limit=config.time_limit)
     return solve_lp(cm, time_limit=config.time_limit)
 

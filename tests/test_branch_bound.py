@@ -139,7 +139,8 @@ class TestHandCases:
     def test_search_counters(self):
         # min -x  s.t.  2x <= 3,  x in 0..5 integral.  The root LP makes
         # one pivot (x enters at 1.5) in phase 1, which takes one more
-        # pass to find no entering column, as phase 2 does at once.  The
+        # pass to find no entering column, as phase 2 does at once with
+        # no pivot; no column flips bounds.  The
         # floor child x <= 1 pivots once (the slack enters) to x = 1, the
         # incumbent; the ceiling child x >= 2 pivots once (x re-enters at
         # 1.5) and then finds no column to lift it: infeasible.
@@ -147,7 +148,8 @@ class TestHandCases:
                     [LinearConstraint("r", (("x", 2.0),), LE, 3.0)],
                     {"x": -1.0})
         assert solve_lp(model).stats == {
-            "iterations": 3, "phase1_pivots": 2, "phase2_pivots": 1}
+            "iterations": 3, "phase1_pivots": 1, "phase2_pivots": 0,
+            "bound_flips": 0}
         r = solve_ilp(model)
         assert r.status == "optimal" and r.x == {"x": 1.0}
         assert r.stats == {"nodes": 3, "dual_pivots": 2, "cold_solves": 1,

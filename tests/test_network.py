@@ -13,8 +13,8 @@ from storywiggle.instance import is_nice, parse_instance
 from storywiggle.network import difference_form, solve_network
 from storywiggle.programs import (EQ, GE, LE, LinearConstraint, OptimizationModel,
                                   Variable, big_y, build_lwh_program,
-                                  build_qwh_program, compile_model,
-                                  model_violations)
+                                  build_qwh_program, build_wc_program,
+                                  compile_model, model_violations)
 from storywiggle.routing import route_all_gaps
 from storywiggle.solver import solve_model
 from storywiggle.wigglefree import max_wiggle_free_set
@@ -49,6 +49,26 @@ def flat_pinned(inst, params):
             model.constraints.append(LinearConstraint(
                 f"flat_{ya}", ((ya, 1.0), (yb, -1.0)), EQ, 0.0))
     return model, index
+
+
+def network_lp(model):
+    """Whether `solve_model` sends the LP `model` to the network simplex."""
+    cm = compile_model(model)
+    form = difference_form(cm)
+    return form is not None and form.is_network_lp(cm)
+
+
+def routing_models(inst, params):
+    """The routing LPs of an instance's `lwh` layout (routing stage 2)."""
+    model, index = build_lwh_program(inst, params)
+    cm = compile_model(model)
+    coord = index.coordination_from(solve_network(cm, difference_form(cm)).x)
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(routing_mod, "solve_model", lambda m, config=None:
+                   seen.append(m) or solve_model(m, config))
+        route_all_gaps(inst, coord, r_min=0.5)
+    return seen
 
 
 def check_against_simplex(inst, params, model, index):
@@ -147,21 +167,59 @@ def test_zero_budget_stops_before_the_first_pivot():
     assert r.status == "optimal" and r.iterations > 0
 
 
+@pytest.mark.parametrize("shape, pivots", [((10, 10), (48, 26)),
+                                           ((15, 15), (183, 110)),
+                                           ((20, 20), (211, 125)),
+                                           ((25, 30), (702, 450))], ids=str)
+def test_ladder_pivots_are_pinned(shape, pivots):
+    # (pivots, degenerate pivots) on the seed-7 rungs of the benchmark's
+    # `lwh` ladder: reading or contracting the rows another way must not
+    # change the network the pivots run on
+    inst, params = generate_instance(*shape, seed=7, meeting_prob=0.5)
+    cm = compile_model(build_lwh_program(inst, params)[0])
+    r = solve_network(cm, difference_form(cm))
+    assert (r.iterations, r.stats["degenerate_pivots"]) == pivots
+
+
+def no_meetings():
+    return generate_instance(5, 5, seed=2, meeting_prob=0.0, all_active=True)
+
+
+def qwh_probe(inst, params):
+    cm = compile_model(build_qwh_program(inst, params)[0])
+    zero = (0.0,) * len(cm.cost)
+    return replace(cm, cost=zero, quad=zero)
+
+
+# (pairs, links, equality diffs, network LP) of each model's form
+@pytest.mark.parametrize("build, expected", [
+    (lambda i, p: build_lwh_program(i, p)[0], (True, False, False, True)),
+    (lambda i, p: flat_pinned(i, p)[0], (True, False, True, True)),
+    (lambda i, p: build_qwh_program(i, p)[0], (False, True, False, False)),
+    (qwh_probe, None),
+    (lambda i, p: build_wc_program(i, p)[0], None),
+    (lambda i, p: routing_models(i, p)[0], (False, False, False, False)),
+], ids=["lwh", "flat-pinned", "qwh", "qwh-probe", "wc", "routing"])
+def test_difference_form_recognizes(build, expected):
+    inst, params = no_meetings()
+    cm = compile_model(build(inst, params))
+    form = difference_form(cm)
+    if expected is None:
+        assert form is None
+        return
+    equalities = [i for i, _, _ in form.diffs if cm.constraints[i].sense == EQ]
+    assert (bool(form.pairs), bool(form.links), bool(equalities),
+            form.is_network_lp(cm)) == expected
+    assert form.diffs
+
+
 class TestOtherModelsStayOnTheSimplex:
-    def test_routing_lp(self, monkeypatch):
+    def test_routing_lp(self):
         # the only routing LP: concentricity over the paired leaving radii
         inst, params = generate_instance(6, 6, seed=6, meeting_prob=0.5)
-        model, index = build_lwh_program(inst, params)
-        cm = compile_model(model)
-        r = solve_network(cm, difference_form(cm))
-        coord = index.coordination_from(r.x)
-        seen = []
-        monkeypatch.setattr(routing_mod, "solve_model",
-                            lambda m, config=None: seen.append(m)
-                            or solve_model(m, config))
-        route_all_gaps(inst, coord, r_min=0.5)
+        seen = routing_models(inst, params)
         assert seen
-        assert all(difference_form(compile_model(m)) is None for m in seen)
+        assert not any(network_lp(m) for m in seen)
 
     def test_qwh_probe(self):
         inst, params = generate_instance(6, 6, seed=3, meeting_prob=0.5)
@@ -176,4 +234,4 @@ class TestOtherModelsStayOnTheSimplex:
         inst, params = generate_instance(4, 4, seed=1, meeting_prob=0.5)
         model, index = build_lwh_program(inst, params)
         model.objective[next(iter(index.y.values()))] = 1.0
-        assert difference_form(compile_model(model)) is None
+        assert not network_lp(model)

@@ -264,6 +264,19 @@ class TestTableau:
         assert tab.resolve((0.0, 0.0), (0.0, math.inf)).objective == 0.0
         assert tab.resolve((0.0, 0.0), (math.inf, math.inf)) is None
 
+    def test_resolve_defers_a_column_the_first_solve_fixed(self):
+        # min -x + y, x + y <= 5: the first solve fixes x at 0, so x never
+        # entered a ratio test; given room, it must go to a cold solve,
+        # which moves it to 3 (the tableau alone reported 0)
+        model = lp([Variable("x", 0.0, 0.0), Variable("y", 0.0, 1.0)],
+                   [LinearConstraint("r", (("x", 1.0), ("y", 1.0)), LE, 5.0)],
+                   {"x": -1.0, "y": 1.0})
+        tab = simplex.solve_lp(model).tableau
+        assert tab.resolve((0.0, 0.0), (3.0, 1.0)) is None
+        cold = solve_lp(replace(compile_model(model), upper=(3.0, 1.0)))
+        assert (cold.status, cold.objective) == ("optimal", -3.0)
+        assert tab.resolve((0.0, 0.0), (0.0, 0.5)).objective == 0.0
+
 
 class TestDuals:
     def test_strong_duality_and_complementary_slackness(self):
