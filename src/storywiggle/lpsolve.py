@@ -5,7 +5,10 @@ Usage: python3 -m storywiggle.lpsolve input.lp output.sol
 Reads the model, applies the built-in solvers, and writes the solution
 in the format the `external:` backend expects.  Exists so the external
 backend plumbing can be exercised end to end without a third-party
-solver.
+solver, so it solves the models this package writes.  A file it cannot
+read, an ill-formed model (one with a non-finite number, say) or a QP
+outside difference form (see `qp`) makes it exit 2 with one `lpsolve:`
+line.
 """
 
 from __future__ import annotations

@@ -159,8 +159,18 @@ class CompiledModel:
         return zip(self.cols[s:e], self.coefs[s:e])
 
 
+def _finite(values) -> bool:
+    # `sum` is one C loop, and only an inf, a NaN or an overflow of finite
+    # numbers makes it non-finite
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
 def compile_model(model: OptimizationModel | CompiledModel) -> CompiledModel:
-    """Validate `model` and resolve its names; compiled models pass through."""
+    """Validate `model` and resolve its names; compiled models pass through.
+
+    Every coefficient, right-hand side, cost and quadratic weight must be
+    finite, and a bound may be infinite only on its own side.
+    """
     if isinstance(model, CompiledModel):
         return model
     col: dict[str, int] = {}
@@ -168,8 +178,9 @@ def compile_model(model: OptimizationModel | CompiledModel) -> CompiledModel:
         if v.name in col:
             raise ModelError(f"duplicate variable {v.name!r}")
         col[v.name] = len(col)
-        if v.lower > v.upper:
-            raise ModelError(f"empty bound interval for {v.name!r}")
+        if not v.lower <= v.upper:                      # NaN fails too
+            empty = "empty" if v.lower > v.upper else "NaN"
+            raise ModelError(f"{empty} bound interval for {v.name!r}")
     rownames = set()
     starts, cols, coefs = [0], [], []
     for row in model.constraints:
@@ -190,10 +201,19 @@ def compile_model(model: OptimizationModel | CompiledModel) -> CompiledModel:
     for var, coef in model.quadratic.items():
         if coef < 0:
             raise ModelError(f"negative quadratic coefficient on {var!r}")
+    for what, values in (("coefficient", coefs),
+                         ("right-hand side", [row.rhs for row in model.constraints]),
+                         ("cost", list(model.objective.values())),
+                         ("quadratic weight", list(model.quadratic.values()))):
+        if not _finite(values):
+            raise ModelError(f"non-finite {what} in {model.name!r}")
     vs = model.variables
+    lower, upper = tuple(v.lower for v in vs), tuple(v.upper for v in vs)
+    if max(lower, default=0.0) == math.inf or min(upper, default=0.0) == -math.inf:
+        raise ModelError(f"lower bound +inf or upper bound -inf in {model.name!r}")
     return CompiledModel(
         model.name, tuple(vs), tuple(model.constraints), tuple(starts), tuple(cols),
-        tuple(coefs), tuple(v.lower for v in vs), tuple(v.upper for v in vs),
+        tuple(coefs), lower, upper,
         tuple(model.objective.get(v.name, 0.0) for v in vs),
         tuple(model.quadratic.get(v.name, 0.0) for v in vs))
 

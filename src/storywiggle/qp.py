@@ -1,4 +1,4 @@
-"""Primal active-set method for convex quadratic programs.
+"""Primal active-set method for convex quadratic programs in difference form.
 
 Handles `min c'x + sum_i q_i x_i^2` with q >= 0 over linear rows and
 variable bounds of a compiled model.  Inequalities (rows and bounds
@@ -11,54 +11,42 @@ reduced gradient has a component on the flat ones the objective falls
 without bound along that ray, which is walked uncapped to the first
 blocking constraint.  A zero step means the working set's minimizer is
 reached, and the multipliers decide which pinned row to release, with a
-lowest-index rule after a stretch of degenerate steps.  The loop is
-shared; the linear algebra of a step comes from one of two working sets,
-chosen by the model's structure alone.
+lowest-index rule after a stretch of degenerate steps.  The loop,
+`_active_set`, takes the linear algebra of a step from a working set
+object; the tests run it on a dense null-space working set as the
+reference for this one.
 
-Difference form (`_Blocks`).  Every row is a difference
-`y_p - y_q (<=, >=, =) r` or a link `y_p - y_q + s d = r`, s = +-1, whose
-column d is free, curved (q_d > 0) and in no other row: the `qwh`
-models.  `network.contract` contracts the equalities and fixed columns
-into blocks, as for the network simplex, so the iterate is one level
-per block, each link fixes its d, and the working set's rows are the
-graph's arcs between blocks (a bound is an arc to ground), already in
-the order of `_ge_rows`.  Pinning arcs merges blocks into
-super-blocks, the connected components of the pinned arcs, found
-afresh each iteration; the free super-blocks are the null-space basis.
-The reduced Hessian is the weighted Laplacian of the links between
-super-blocks, grounded where a component reaches the ground's
+Every row must be a difference `y_p - y_q (<=, >=, =) r` or a link
+`y_p - y_q + s d = r`, s = +-1, whose column d is free, curved
+(q_d > 0) and in no other row: the `qwh` models.  `solve_qp` refuses any
+other QP with a `ModelError`.  `network.contract` contracts the
+equalities and fixed columns into blocks, as for the network simplex,
+so the iterate is one level per block, each link fixes its d, and the
+working set's rows are the graph's arcs between blocks (a bound is an
+arc to ground), in `DifferenceGraph.dual` order.  Pinning arcs merges
+blocks into super-blocks, the connected components of the pinned arcs,
+found afresh each iteration; the free super-blocks are the null-space
+basis.  The reduced Hessian is the weighted Laplacian of the links
+between super-blocks, grounded where a component reaches the ground's
 super-block (or a curved y column), so the Newton step is a Laplacian
 solve, and a component with no ground is flat: a nonzero gradient sum
 on it is the ray.  On a zero step the multipliers are the flows on a
 spanning forest of the pinned arcs that carry each block's gradient to
 its tree's root; arcs that close a cycle get 0, and the equality rows
-carry what is left along the contraction's joins.  This is the
-optimal-tension view of the QP (Rockafellar, Network Flows and
-Monotropic Optimization, 1984), and the merging of blocks is that of
-pool-adjacent-violators (Best and Chakravarti 1990, Math.
+carry what is left along the contraction's joins, so every row ends
+with a multiplier and the KKT residuals are computed from the compiled
+rows.  This is the optimal-tension view of the QP (Rockafellar, Network
+Flows and Monotropic Optimization, 1984), and the merging of blocks is
+that of pool-adjacent-violators (Best and Chakravarti 1990, Math.
 Programming).  No matrix as wide as the model is formed, and no SVD.  A
 start that is not feasible comes from the network simplex on the same
 graph, which ignores the objective there.
-
-Any other QP (`_Dense`).  One SVD of the equality rows E gives an
-orthonormal basis Ze of their null space; every iterate is x = x0 + Ze w
-for the feasible start x0, so the loop sees the inequality rows as G Ze.
-Each iteration takes one SVD of the pinned rows of G Ze for their rank, a
-basis Y of their null space and, on a zero step, the least-squares
-multipliers, and one `eigh` of Y'(Ze'QZe)Y to split curved from flat
-directions.  The start comes from a simplex probe LP.
-
-Both working sets end with multipliers for every row: the equality rows
-take what the pinned inequalities leave of the gradient (by tree flows,
-or by the stored SVD of E), and the KKT residuals are computed from the
-compiled rows.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -66,7 +54,8 @@ from .network import DifferenceGraph, contract, difference_form
 from .programs import (EQ, LE, CompiledModel, ModelError,
                        OptimizationModel, SolveResult, SolveStatus,
                        compile_model, model_violations)
-from .simplex import solve_lp
+# not called here: perfbench's tracer still wraps `qp.solve_lp` as a site
+from .simplex import solve_lp  # noqa: F401
 
 _ACTIVE_TOL = 1e-8
 _MULT_TOL = 1e-8
@@ -75,44 +64,13 @@ _MAXITER = 5000
 _MIN_WIDTH = 32
 
 
-def _rank(s: np.ndarray) -> int:
-    """Numerical rank from singular values."""
-    return int((s > 1e-10 * s.max(initial=1.0)).sum())
-
-
-def _ge_rows(cm: CompiledModel) -> list[int]:
-    """The `>=` rows in working-set order, as indices into the duals.
-
-    Duals are indexed by model row i, then `m + j` for column j's lower
-    bound and `m + n + j` for its upper bound.  The working set lists the
-    inequality rows in model order, then each column's finite bounds.
-    """
-    m, n = len(cm.constraints), len(cm.variables)
-    rows = [i for i, row in enumerate(cm.constraints) if row.sense != EQ]
-    for j in range(n):
-        if cm.lower[j] > -math.inf:
-            rows.append(m + j)
-        if cm.upper[j] < math.inf:
-            rows.append(m + n + j)
-    return rows
-
-
 def _feasible_start(cm: CompiledModel, warm: dict[str, float] | None,
                     deadline: float | None,
-                    graph: DifferenceGraph | None) -> dict[str, float] | SolveStatus:
-    """A feasible point, or the status of the probe that found none.
-
-    The probe is the network simplex on the graph of a difference-form
-    QP, else (`graph` None) the simplex at zero cost.
-    """
+                    graph: DifferenceGraph) -> dict[str, float] | SolveStatus:
+    """A feasible point, or the status of the network simplex probe that found none."""
     if warm is not None and not model_violations(cm, warm, tol=1e-9):
         return dict(warm)
-    if graph is not None:
-        res = graph.solve(cm, deadline)
-    else:
-        zero = (0.0,) * len(cm.variables)
-        left = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
-        res = solve_lp(replace(cm, cost=zero, quad=zero), time_limit=left)
+    res = graph.solve(cm, deadline)
     if res.status is SolveStatus.OPTIMAL:
         return res.x
     if res.status in (SolveStatus.INFEASIBLE, SolveStatus.TIME_LIMIT):
@@ -123,32 +81,46 @@ def _feasible_start(cm: CompiledModel, warm: dict[str, float] | None,
 def solve_qp(model: OptimizationModel, *,
              warm: dict[str, float] | None = None,
              time_limit: float | None = None) -> SolveResult:
-    """Minimize the model's convex quadratic-plus-linear objective.
+    """Minimize the convex quadratic-plus-linear objective of a difference-form QP.
 
-    Returns multipliers for every row (bound rows under `_lb_`/`_ub_`
-    names, inequalities in their `>=` normalization) and the four KKT
-    residual maxima under keys stationarity/primal/dual/complementarity.
-    `stats` splits the `iterations` into `newton_steps`, uncapped
-    `ray_steps` and `zero_steps` (releases and the optimal last one), and
-    holds `null_dim`, the dimension of the equality rows' null space (the
-    number of blocks off ground, in difference form).  A stop at
-    `_MAXITER` iterations or at `time_limit` (seconds) returns the current
-    feasible iterate with the latest multipliers.  The feasibility probe
-    gets what is left of the limit, and the first deadline check comes
-    once the working set is built.
+    Raises `ModelError` for a model whose rows are not all differences
+    and links (module docstring).  Returns multipliers for every row
+    (bound rows under `_lb_`/`_ub_` names, inequalities in their `>=`
+    normalization) and the four KKT residual maxima under keys
+    stationarity/primal/dual/complementarity.  `stats` splits the
+    `iterations` into `newton_steps`, uncapped `ray_steps` and
+    `zero_steps` (releases and the optimal last one), and holds
+    `null_dim`, the number of blocks off ground, which is the dimension
+    of the equality rows' null space.  A stop at `_MAXITER` iterations or
+    at `time_limit` (seconds) returns the current feasible iterate with
+    the latest multipliers.  The feasibility probe gets what is left of
+    the limit, and the first deadline check comes once the working set
+    is built.
     """
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     cm = compile_model(model)
     form = difference_form(cm)
-    graph = None
-    if form is not None and not form.pairs:
-        graph = contract(cm, form)
-        if graph is None:
-            return SolveResult(SolveStatus.INFEASIBLE)
+    if form is None or form.pairs:
+        raise ModelError(f"{cm.name!r} is no difference-form QP: every row must be "
+                         "a difference of two columns or a link")
+    graph = contract(cm, form)
+    if graph is None:
+        return SolveResult(SolveStatus.INFEASIBLE)
     start = _feasible_start(cm, warm, deadline, graph)
     if isinstance(start, SolveStatus):
         return SolveResult(start)
-    ws = _Dense(cm, start) if graph is None else _Blocks(cm, graph, start)
+    return _active_set(cm, _Blocks(cm, graph, start), deadline)
+
+
+def _active_set(cm: CompiledModel, ws, deadline: float | None) -> SolveResult:
+    """Run the active-set loop from the working set `ws` at a feasible point.
+
+    `ws` lists its `>=` rows in `ge` as indices into the duals and gives
+    the step's linear algebra: `slack()`, `along(p)` and `move(alpha, p)`
+    on its iterate, `step(active)` (the step and whether it is a ray),
+    `multipliers(active)` after a zero step, and `finish(lam_g)` (the
+    point and the multipliers of every row).
+    """
     ge = ws.ge
 
     active = np.flatnonzero(ws.slack() <= _ACTIVE_TOL).tolist()
@@ -233,87 +205,6 @@ def solve_qp(model: OptimizationModel, *,
     obj = float(np.dot(cm.cost, x) + (q * x) @ x / 2.0)
     return SolveResult(status, dict(zip(names, map(float, x))), obj,
                        duals=duals, kkt=kkt_residuals(cm, x, lam), stats=steps())
-
-
-class _Dense:
-    """The working set of any QP, by SVDs of dense rows (module docstring)."""
-
-    def __init__(self, cm: CompiledModel, start: dict[str, float]) -> None:
-        m, n = len(cm.constraints), len(cm.variables)
-        self.q = 2.0 * np.array(cm.quad, dtype=float)
-        self.c = np.array(cm.cost, dtype=float)
-        self.eq = [i for i, row in enumerate(cm.constraints) if row.sense == EQ]
-        self.ge = ge = _ge_rows(cm)
-        rows = np.zeros((m, n))
-        for i in range(m):
-            for j, coef in cm.terms(i):
-                rows[i, j] += coef
-        self.E = rows[self.eq]
-        self.G = np.zeros((len(ge), n))
-        self.gb = np.zeros(len(ge))
-        for r, a in enumerate(ge):
-            if a < m:
-                sign = -1.0 if cm.constraints[a].sense == LE else 1.0
-                self.G[r], self.gb[r] = sign * rows[a], sign * cm.constraints[a].rhs
-            elif a < m + n:
-                self.G[r, a - m], self.gb[r] = 1.0, cm.lower[a - m]
-            else:
-                self.G[r, a - m - n], self.gb[r] = -1.0, -cm.upper[a - m - n]
-        self.n_duals = m + 2 * n
-        self.x0 = np.array([start[v.name] for v in cm.variables])
-
-        # x = x0 + Ze w keeps every equality row satisfied, so the iteration
-        # runs on w alone and sees the inequality rows as G Ze
-        self.ue, self.se, self.vte = np.linalg.svd(self.E)
-        self.rank_e = _rank(self.se)
-        self.Ze = self.vte[self.rank_e:].T
-        self.null_dim = self.Ze.shape[1]
-        self.GZ = self.G @ self.Ze
-        self.H = self.Ze.T @ (self.q[:, None] * self.Ze)
-        self.g0 = self.Ze.T @ (self.q * self.x0 + self.c)
-        self.r0 = self.G @ self.x0 - self.gb
-        self.w = np.zeros(self.null_dim)
-
-    def slack(self) -> np.ndarray:
-        return self.r0 + self.GZ @ self.w
-
-    def along(self, p: np.ndarray) -> np.ndarray:
-        return self.GZ @ p
-
-    def move(self, alpha: float, p: np.ndarray) -> None:
-        self.w = self.w + alpha * p
-
-    def step(self, active: list[int]) -> tuple[np.ndarray, bool]:
-        """The step on w, and whether it is a ray."""
-        g = self.g0 + self.H @ self.w
-        u, s, vt = np.linalg.svd(self.GZ[active])
-        rank = _rank(s)
-        self._lsq = u, s, vt, rank, g
-        Y = vt[rank:].T
-        vals, vecs = np.linalg.eigh(Y.T @ self.H @ Y)
-        flat = vals <= 1e-9 * vals.max(initial=1.0)
-        gy = vecs.T @ (Y.T @ g)
-        ray = Y @ (vecs[:, flat] @ gy[flat])
-        if np.abs(ray).max(initial=0.0) > 1e-7 * (1.0 + np.abs(g).max(initial=0.0)):
-            return -ray / np.abs(ray).max(), True
-        return -(Y @ (vecs[:, ~flat] @ (gy[~flat] / vals[~flat]))), False
-
-    def multipliers(self, active: list[int]) -> np.ndarray:
-        """Least-squares multipliers of the pinned rows, from the last step."""
-        u, s, vt, rank, g = self._lsq
-        lam = np.zeros(len(self.ge))
-        lam[active] = u[:, :rank] @ ((vt[:rank] @ g) / s[:rank])
-        return lam
-
-    def finish(self, lam_g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = self.x0 + self.Ze @ self.w
-        # the equality rows take what the pinned inequalities leave of g
-        rest = self.q * x + self.c - self.G.T @ lam_g
-        r = self.rank_e
-        lam = np.zeros(self.n_duals)
-        lam[self.ge] = lam_g
-        lam[self.eq] = self.ue[:, :r] @ ((self.vte[:r] @ rest) / self.se[:r])
-        return x, lam
 
 
 class _Blocks:
@@ -473,7 +364,8 @@ class _Blocks:
             z = _band_solve(band, rhs)
             # the Newton step, found with one super-block of each loose
             # component held still, moves by the mean that makes it
-            # orthogonal to the flat direction, as the dense path's is
+            # orthogonal to the flat direction, as the tests' dense
+            # reference's is
             z[loose] -= (np.bincount(which, ny[loose] * z[loose]) / n_loose)[which]
         return self._lift(z, at, free), False
 
@@ -632,8 +524,9 @@ def _forest_flows(n: int, tails: list[int], heads: list[int], supply) -> list[fl
 def kkt_residuals(cm: CompiledModel, x: np.ndarray, lam: np.ndarray) -> dict[str, float]:
     """Max-norm KKT residuals of a primal/dual pair, from the compiled rows.
 
-    `lam` is indexed as in `_ge_rows`: rows in their `>=` normalization,
-    then lower and upper bounds; an infinite bound's entry is ignored.
+    `lam` is indexed as `DifferenceGraph.dual` is: model row i in its
+    `>=` normalization, then `m + j` for column j's lower bound and
+    `m + n + j` for its upper bound; an infinite bound's entry is ignored.
     """
     m, n = len(cm.constraints), len(cm.variables)
     rows = np.repeat(np.arange(m), np.diff(cm.starts))

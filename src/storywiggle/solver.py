@@ -89,6 +89,7 @@ def _solve_builtin(model: OptimizationModel, config: SolverConfig,
 
 
 def _solve_external(model: OptimizationModel, config: SolverConfig) -> SolveResult:
+    model.validate()        # the LP writer has no text for a non-finite number
     command = shlex.split(config.backend.split(":", 1)[1])
     with tempfile.TemporaryDirectory(prefix="storywiggle_") as tmp:
         lp_path = os.path.join(tmp, "in.lp")

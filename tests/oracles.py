@@ -2,19 +2,27 @@
 
 Everything here favors brute force over cleverness: nested loops and
 exhaustive enumeration, so results are trustworthy on the tiny shapes
-the tests use and any agreement with the package is meaningful.
+the tests use and any agreement with the package is meaningful.  The
+one exception is `dense_qp`, the reference for the QP's block path: it
+runs the package's active-set loop on dense linear algebra.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 
+from storywiggle import qp
 from storywiggle.instance import (Coordination, NicenessParams,
                                   OrderedStorylineInstance)
-from storywiggle.programs import EQ, GE, LE, OptimizationModel
+from storywiggle.programs import (EQ, GE, LE, CompiledModel, ModelError,
+                                  OptimizationModel, SolveResult, SolveStatus,
+                                  compile_model, model_violations)
+from storywiggle.simplex import solve_lp
 
 
 def step_levels(inst: OrderedStorylineInstance, params: NicenessParams,
@@ -197,3 +205,140 @@ def max_flat_subset_exhaustive(inst: OrderedStorylineInstance,
             if solve_model(model).status is SolveStatus.OPTIMAL:
                 return size
     return 0
+
+
+def dense_qp(model: OptimizationModel, warm: dict[str, float] | None = None,
+             time_limit: float | None = None) -> SolveResult:
+    """`qp.solve_qp`'s loop on the dense null-space working set, for any QP.
+
+    The start is `warm` if feasible, else the simplex at zero cost; the
+    loop is `qp._active_set`, so iterations, statuses and time limits
+    read as `solve_qp`'s do.
+    """
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
+    cm = compile_model(model)
+    if warm is not None and not model_violations(cm, warm, tol=1e-9):
+        start = dict(warm)
+    else:
+        zero = (0.0,) * len(cm.variables)
+        left = None if deadline is None else max(deadline - time.perf_counter(), 0.0)
+        res = solve_lp(replace(cm, cost=zero, quad=zero), time_limit=left)
+        if res.status in (SolveStatus.INFEASIBLE, SolveStatus.TIME_LIMIT):
+            return SolveResult(res.status)
+        if res.status is not SolveStatus.OPTIMAL:
+            raise ModelError(f"feasibility probe ended with status {res.status.value}")
+        start = res.x
+    return qp._active_set(cm, _Dense(cm, start), deadline)
+
+
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank from singular values."""
+    return int((s > 1e-10 * s.max(initial=1.0)).sum())
+
+
+def _ge_rows(cm: CompiledModel) -> list[int]:
+    """The `>=` rows in working-set order, as indices into the duals.
+
+    Duals are indexed by model row i, then `m + j` for column j's lower
+    bound and `m + n + j` for its upper bound.  The working set lists the
+    inequality rows in model order, then each column's finite bounds.
+    """
+    m, n = len(cm.constraints), len(cm.variables)
+    rows = [i for i, row in enumerate(cm.constraints) if row.sense != EQ]
+    for j in range(n):
+        if cm.lower[j] > -math.inf:
+            rows.append(m + j)
+        if cm.upper[j] < math.inf:
+            rows.append(m + n + j)
+    return rows
+
+
+class _Dense:
+    """A working set for `qp._active_set` from SVDs of the dense rows.
+
+    One SVD of the equality rows E gives an orthonormal basis Ze of their
+    null space; every iterate is x = x0 + Ze w for the feasible start x0,
+    so the loop sees the inequality rows as G Ze.  Each iteration takes
+    one SVD of the pinned rows of G Ze for their rank, a basis Y of their
+    null space and, on a zero step, the least-squares multipliers, and
+    one `eigh` of Y'(Ze'QZe)Y to split curved from flat directions.  The
+    equality rows take what the pinned inequalities leave of the
+    gradient, by the stored SVD of E.
+    """
+
+    def __init__(self, cm: CompiledModel, start: dict[str, float]) -> None:
+        m, n = len(cm.constraints), len(cm.variables)
+        self.q = 2.0 * np.array(cm.quad, dtype=float)
+        self.c = np.array(cm.cost, dtype=float)
+        self.eq = [i for i, row in enumerate(cm.constraints) if row.sense == EQ]
+        self.ge = ge = _ge_rows(cm)
+        rows = np.zeros((m, n))
+        for i in range(m):
+            for j, coef in cm.terms(i):
+                rows[i, j] += coef
+        self.E = rows[self.eq]
+        self.G = np.zeros((len(ge), n))
+        self.gb = np.zeros(len(ge))
+        for r, a in enumerate(ge):
+            if a < m:
+                sign = -1.0 if cm.constraints[a].sense == LE else 1.0
+                self.G[r], self.gb[r] = sign * rows[a], sign * cm.constraints[a].rhs
+            elif a < m + n:
+                self.G[r, a - m], self.gb[r] = 1.0, cm.lower[a - m]
+            else:
+                self.G[r, a - m - n], self.gb[r] = -1.0, -cm.upper[a - m - n]
+        self.n_duals = m + 2 * n
+        self.x0 = np.array([start[v.name] for v in cm.variables])
+
+        # x = x0 + Ze w keeps every equality row satisfied, so the iteration
+        # runs on w alone and sees the inequality rows as G Ze
+        self.ue, self.se, self.vte = np.linalg.svd(self.E)
+        self.rank_e = _rank(self.se)
+        self.Ze = self.vte[self.rank_e:].T
+        self.null_dim = self.Ze.shape[1]
+        self.GZ = self.G @ self.Ze
+        self.H = self.Ze.T @ (self.q[:, None] * self.Ze)
+        self.g0 = self.Ze.T @ (self.q * self.x0 + self.c)
+        self.r0 = self.G @ self.x0 - self.gb
+        self.w = np.zeros(self.null_dim)
+
+    def slack(self) -> np.ndarray:
+        return self.r0 + self.GZ @ self.w
+
+    def along(self, p: np.ndarray) -> np.ndarray:
+        return self.GZ @ p
+
+    def move(self, alpha: float, p: np.ndarray) -> None:
+        self.w = self.w + alpha * p
+
+    def step(self, active: list[int]) -> tuple[np.ndarray, bool]:
+        """The step on w, and whether it is a ray."""
+        g = self.g0 + self.H @ self.w
+        u, s, vt = np.linalg.svd(self.GZ[active])
+        rank = _rank(s)
+        self._lsq = u, s, vt, rank, g
+        Y = vt[rank:].T
+        vals, vecs = np.linalg.eigh(Y.T @ self.H @ Y)
+        flat = vals <= 1e-9 * vals.max(initial=1.0)
+        gy = vecs.T @ (Y.T @ g)
+        ray = Y @ (vecs[:, flat] @ gy[flat])
+        if np.abs(ray).max(initial=0.0) > 1e-7 * (1.0 + np.abs(g).max(initial=0.0)):
+            return -ray / np.abs(ray).max(), True
+        return -(Y @ (vecs[:, ~flat] @ (gy[~flat] / vals[~flat]))), False
+
+    def multipliers(self, active: list[int]) -> np.ndarray:
+        """Least-squares multipliers of the pinned rows, from the last step."""
+        u, s, vt, rank, g = self._lsq
+        lam = np.zeros(len(self.ge))
+        lam[active] = u[:, :rank] @ ((vt[:rank] @ g) / s[:rank])
+        return lam
+
+    def finish(self, lam_g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = self.x0 + self.Ze @ self.w
+        # the equality rows take what the pinned inequalities leave of g
+        rest = self.q * x + self.c - self.G.T @ lam_g
+        r = self.rank_e
+        lam = np.zeros(self.n_duals)
+        lam[self.ge] = lam_g
+        lam[self.eq] = self.ue[:, :r] @ ((self.vte[:r] @ rest) / self.se[:r])
+        return x, lam

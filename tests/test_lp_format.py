@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from storywiggle.generate import generate_instance
 from storywiggle.lp_format import LpFormatError, parse_lp, write_lp
+from storywiggle.network import difference_form
 from storywiggle.programs import (EQ, GE, LE, LinearConstraint,
-                                  OptimizationModel, Variable)
+                                  OptimizationModel, Variable,
+                                  build_lwh_program, build_qwh_program,
+                                  build_wc_program, compile_model)
+from storywiggle.solver import solve_model
+
+from test_network import routing_models
 
 
 def small_model():
@@ -192,3 +199,41 @@ def test_write_parse_round_trip(model):
         for var, coef in theirs.coeffs:
             combined[var] = combined.get(var, 0.0) + coef
         assert dict(ours.coeffs) == {k: v for k, v in combined.items() if v}
+
+
+def verdict(model):
+    """What `difference_form` makes of a model, as the solvers dispatch on it."""
+    cm = compile_model(model)
+    form = difference_form(cm)
+    if form is None:
+        return None
+    if form.is_network_lp(cm):
+        return "network LP"
+    if form.links and not form.pairs:
+        return "pairless links"
+    return "no network LP"
+
+
+BUILDERS = {"lwh": (build_lwh_program, "network LP"),
+            "qwh": (build_qwh_program, "pairless links"),
+            "wc": (build_wc_program, None)}
+
+
+# the seed-7 6x6 layout routes no gap by LP, so routing comes from 10x10
+@pytest.mark.parametrize("shape, kind", [
+    *((shape, kind) for shape in ((6, 6), (10, 10)) for kind in BUILDERS),
+    ((10, 10), "routing")], ids=str)
+def test_round_trip_keeps_each_model_on_its_solver(shape, kind):
+    # what the `external:` backend writes, `lpsolve` reads back into the
+    # same solver with the same optimum
+    inst, params = generate_instance(*shape, seed=7, meeting_prob=0.5)
+    if kind == "routing":
+        model, expected = routing_models(inst, params)[0], "no network LP"
+    else:
+        build, expected = BUILDERS[kind]
+        model = build(inst, params)[0]
+    parsed = parse_lp(write_lp(model))
+    assert verdict(model) == verdict(parsed) == expected
+    ours, theirs = solve_model(model), solve_model(parsed)
+    assert ours.status == theirs.status == "optimal"
+    assert theirs.objective == pytest.approx(ours.objective, rel=1e-9, abs=0.0)

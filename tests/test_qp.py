@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 
 from storywiggle.generate import generate_instance
 from storywiggle.instance import minimal_stack_coordination
-from storywiggle.programs import (EQ, GE, LE, LinearConstraint,
+from storywiggle.lp_format import write_lp
+from storywiggle.lpsolve import main as lpsolve_main
+from storywiggle.programs import (EQ, GE, LE, LinearConstraint, ModelError,
                                   OptimizationModel, Variable,
                                   assignment_from_coordination,
-                                  build_qwh_program, compile_model,
-                                  extract_coordination, model_violations,
-                                  objective_value)
+                                  build_lwh_program, build_qwh_program,
+                                  compile_model, extract_coordination,
+                                  model_violations, objective_value)
 from storywiggle import qp as qp_mod
 from storywiggle.network import difference_form
 from storywiggle.qp import solve_qp
 from storywiggle.simplex import solve_lp
+
+from oracles import dense_qp
 
 KKT_KEYS = ("stationarity", "primal", "dual", "complementarity")
 STEPS = ("newton_steps", "ray_steps", "zero_steps")
@@ -38,6 +42,11 @@ def on_blocks(model):
     return form is not None and not form.pairs
 
 
+def either(model, **kw):
+    """`solve_qp` on a difference-form QP, the dense reference on any other."""
+    return (solve_qp if on_blocks(model) else dense_qp)(model, **kw)
+
+
 def assert_kkt_clean(r, tol=1e-6):
     assert r.kkt is not None
     for key in KKT_KEYS:
@@ -45,6 +54,8 @@ def assert_kkt_clean(r, tol=1e-6):
 
 
 class TestHandCases:
+    """Hand answers; a QP whose rows are no differences checks the dense reference."""
+
     def test_interior_minimum(self):
         # x^2 - 6x bottoms out at x=3 inside the box
         model = qp([Variable("x", 0.0, 10.0)], [], {"x": -6.0}, {"x": 1.0})
@@ -67,7 +78,7 @@ class TestHandCases:
             [Variable("x"), Variable("y")],
             [LinearConstraint("r", (("x", 1.0), ("y", 1.0)), EQ, 2.0)],
             {}, {"x": 1.0, "y": 1.0})
-        r = solve_qp(model)
+        r = dense_qp(model)
         assert r.x["x"] == pytest.approx(1.0)
         assert r.x["y"] == pytest.approx(1.0)
         assert r.objective == pytest.approx(2.0)
@@ -80,7 +91,7 @@ class TestHandCases:
             [Variable("x"), Variable("y")],
             [LinearConstraint("r", (("x", 1.0), ("y", 1.0)), GE, 1.0)],
             {}, {"x": 1.0, "y": 1.0})
-        r = solve_qp(model)
+        r = dense_qp(model)
         assert r.x["x"] == pytest.approx(0.5)
         assert r.x["y"] == pytest.approx(0.5)
         assert r.duals["r"] == pytest.approx(1.0)
@@ -91,7 +102,7 @@ class TestHandCases:
             [Variable("x", -5.0, 5.0)],
             [LinearConstraint("r", (("x", 1.0),), LE, 4.0)],
             {"x": -2.0}, {"x": 1.0})
-        r = solve_qp(model)
+        r = dense_qp(model)
         assert r.x["x"] == pytest.approx(1.0)
         assert r.duals["r"] == pytest.approx(0.0)
         assert_kkt_clean(r)
@@ -101,7 +112,7 @@ class TestHandCases:
             [Variable("x", 0.0, 1.0)],
             [LinearConstraint("r", (("x", 1.0),), GE, 3.0)],
             {}, {"x": 1.0})
-        r = solve_qp(model)
+        r = dense_qp(model)
         assert r.status == "infeasible"
         assert r.x is None and r.kkt is None
 
@@ -128,10 +139,19 @@ class TestHandCases:
             [Variable("x", 0.0, 10.0), Variable("y", 0.0, 10.0)],
             [LinearConstraint("r", (("x", 1.0), ("y", 2.0)), GE, 4.0)],
             {"x": 1.0}, {"x": 1.0, "y": 1.0})
-        assert solve_qp(model).iterations >= 1
-        r = solve_qp(model, time_limit=0.0)
+        assert dense_qp(model).iterations >= 1
+        r = dense_qp(model, time_limit=0.0)
         assert r.status == "time_limit"
         assert model_violations(model, r.x, tol=1e-9) == []
+        assert r.kkt is not None and r.kkt["primal"] <= 1e-9
+        # the block path stops at its feasible warm start
+        diff = qp(
+            [Variable("x", 0.0, 10.0), Variable("y", 0.0, 10.0)],
+            [LinearConstraint("r", (("y", 1.0), ("x", -1.0)), GE, 4.0)],
+            {"x": 1.0}, {"x": 1.0, "y": 1.0})
+        assert solve_qp(diff).iterations >= 1
+        r = solve_qp(diff, warm={"x": 1.0, "y": 6.0}, time_limit=0.0)
+        assert r.status == "time_limit" and r.x == {"x": 1.0, "y": 6.0}
         assert r.kkt is not None and r.kkt["primal"] <= 1e-9
 
     def test_iteration_limit(self, monkeypatch):
@@ -145,8 +165,8 @@ class TestHandCases:
             [Variable("x", 0.0, 10.0), Variable("y", 0.0, 10.0)],
             [LinearConstraint("r", (("x", 1.0), ("y", 2.0)), GE, 4.0)],
             {"x": 1.0}, {"x": 1.0, "y": 1.0})
-        cold = solve_qp(model)
-        warm = solve_qp(model, warm=cold.x)
+        cold = dense_qp(model)
+        warm = dense_qp(model, warm=cold.x)
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
         assert warm.iterations <= cold.iterations
@@ -156,7 +176,15 @@ class TestHandCases:
             [Variable("x", 0.0, 10.0)],
             [LinearConstraint("r", (("x", 1.0),), GE, 2.0)],
             {}, {"x": 1.0})
-        r = solve_qp(model, warm={"x": 0.0})
+        r = dense_qp(model, warm={"x": 0.0})
+        assert r.status == "optimal"
+        assert r.x["x"] == pytest.approx(2.0)
+        # and on the block path, with x - z >= 2 for a z fixed at 0
+        model = qp(
+            [Variable("x", 0.0, 10.0), Variable("z", 0.0, 0.0)],
+            [LinearConstraint("r", (("x", 1.0), ("z", -1.0)), GE, 2.0)],
+            {}, {"x": 1.0})
+        r = solve_qp(model, warm={"x": 0.0, "z": 0.0})
         assert r.status == "optimal"
         assert r.x["x"] == pytest.approx(2.0)
 
@@ -170,13 +198,14 @@ def eq(name, coeffs, rhs):
 
 
 class TestDegenerateEqualities:
-    """Equality sets that the one-time factorization must see through."""
+    """Equality sets that the contraction, or the reference's one-time
+    factorization for rows that are no differences, must see through."""
 
     def test_duplicated_row(self):
         # min x^2 + y^2 on x + y = 2, stated twice: (1, 1), and the two
         # rows share the multiplier 2 that one row would carry
         row = (("x", 1.0), ("y", 1.0))
-        r = solve_qp(qp([Variable("x"), Variable("y")],
+        r = dense_qp(qp([Variable("x"), Variable("y")],
                         [eq("a", row, 2.0), eq("b", row, 2.0)],
                         {}, {"x": 1.0, "y": 1.0}))
         assert r.status == "optimal" and r.stats["null_dim"] == 1
@@ -229,7 +258,7 @@ class TestDegenerateEqualities:
                    [eq("s", (("x", 1.0), ("y", 1.0)), 3.0),
                     eq("d", (("x", 1.0), ("y", -1.0)), 1.0)],
                    {"x": -5.0}, {"x": 1.0, "y": 1.0})
-        r = solve_qp(model)
+        r = dense_qp(model)
         assert r.status == "optimal" and r.stats["null_dim"] == 0
         assert r.x == pytest.approx({"x": 2.0, "y": 1.0}, abs=1e-12)
         assert r.objective == pytest.approx(-5.0, abs=1e-12)
@@ -241,7 +270,7 @@ class TestDegenerateEqualities:
         model = qp([Variable("x"), Variable("y")],
                    [LinearConstraint("r", (("x", 1.0), ("y", 1.0)), LE, 2.0)],
                    {"x": -2.0, "y": -4.0}, {"x": 1.0, "y": 1.0})
-        r = solve_qp(model)
+        r = dense_qp(model)
         assert r.status == "optimal" and r.stats["null_dim"] == 2
         assert r.x == pytest.approx({"x": 0.5, "y": 1.5}, abs=1e-12)
         assert r.objective + 5.0 == pytest.approx(0.5, abs=1e-12)
@@ -264,13 +293,6 @@ def ladder_rung(shape):
     return model, index, warm
 
 
-def dense(model, **kw):
-    """The dense null-space path: the reference for the block path."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qp_mod, "difference_form", lambda cm: None)
-        return solve_qp(model, **kw)
-
-
 @pytest.mark.parametrize("shape, optimum, iterations", [
     pytest.param((10, 10), 60.125, 21, id="(10, 10)-60.125"),
     pytest.param((15, 15), 732.4476190476191, 29, id="(15, 15)-732.4476190476191"),
@@ -290,7 +312,8 @@ def test_ladder_qwh_optima_are_frozen(shape, optimum, iterations):
 
 
 class TestBlockPath:
-    """Difference-form QPs run on contracted blocks, every other QP dense."""
+    """Difference-form QPs run on contracted blocks, as the dense reference
+    does in its own way; any other QP is refused."""
 
     def test_ladder_needs_no_svd_or_eigh(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -314,16 +337,31 @@ class TestBlockPath:
         assert on_blocks(model)
         assert len(index.y) - meetings == blocks
         assert solve_qp(model, warm=warm).stats["null_dim"] == blocks
-        assert dense(model, warm=warm).stats["null_dim"] == blocks
+        assert dense_qp(model, warm=warm).stats["null_dim"] == blocks
 
-    def test_other_rows_stay_dense(self):
-        model = qp([Variable("x"), Variable("y")],
+    def test_other_qps_are_refused(self, tmp_path, capsys):
+        # a row that is no difference, and an lwh model (it has pairs) with
+        # a quadratic term: the reference solves the first, and solve_qp
+        # and lpsolve refuse both
+        split = qp([Variable("x"), Variable("y")],
                    [eq("r", (("x", 1.0), ("y", 1.0)), 2.0)],
                    {}, {"x": 1.0, "y": 1.0})
-        assert difference_form(compile_model(model)) is None
-        r = solve_qp(model)
-        assert r.stats["null_dim"] == 1
-        assert r.x == pytest.approx({"x": 1.0, "y": 1.0}, abs=1e-12)
+        assert difference_form(compile_model(split)) is None
+        ref = dense_qp(split)
+        assert ref.stats["null_dim"] == 1
+        assert ref.x == pytest.approx({"x": 1.0, "y": 1.0}, abs=1e-12)
+        inst, params = generate_instance(4, 4, seed=7, meeting_prob=0.5)
+        curved, _ = build_lwh_program(inst, params)
+        curved.quadratic[curved.variables[0].name] = 1.0
+        assert difference_form(compile_model(curved)).pairs
+        for k, model in enumerate((split, curved)):
+            with pytest.raises(ModelError, match="no difference-form QP"):
+                solve_qp(model)
+            lp = tmp_path / f"{k}.lp"
+            lp.write_text(write_lp(model))
+            assert lpsolve_main([str(lp), str(tmp_path / "out.sol")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("lpsolve: ") for line in err)
 
     @pytest.mark.parametrize("shape, optimum", FROZEN, ids=str)
     def test_ray_back_to_the_frozen_optimum(self, shape, optimum):
@@ -352,7 +390,7 @@ class TestBlockPath:
         model, index, warm = ladder_rung(shape)
         raised = {name: value + (5.0 if name in index.y.values() else 0.0)
                   for name, value in warm.items()}
-        r, ref = solve_qp(model, warm=raised), dense(model, warm=raised)
+        r, ref = solve_qp(model, warm=raised), dense_qp(model, warm=raised)
         assert r.iterations == ref.iterations
         assert r.objective == pytest.approx(optimum, rel=1e-9, abs=0.0)
         assert r.x == pytest.approx(ref.x, abs=1e-9)
@@ -390,7 +428,7 @@ def test_block_path_matches_dense(shape, seed, delta, delta_bar, cold):
     model, index = build_qwh_program(inst, params)
     warm = None if cold else assignment_from_coordination(
         model, index, minimal_stack_coordination(inst, params))
-    r, ref = solve_qp(model, warm=warm), dense(model, warm=warm)
+    r, ref = solve_qp(model, warm=warm), dense_qp(model, warm=warm)
     assert r.status == ref.status == "optimal"
     assert r.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-12)
     assert_kkt_clean(r, tol=1e-9)
@@ -407,7 +445,7 @@ def test_block_path_matches_dense(shape, seed, delta, delta_bar, cold):
         {"x": 1.0}, {"x": 1.0, "y": 1.0}), False),
 ], ids=["ray-to-bound", "unbounded", "pinned-row"])
 def test_step_counts_add_up(model, rays):
-    r = solve_qp(model)
+    r = either(model)
     assert sum(r.stats[k] for k in STEPS) == r.iterations > 0
     assert (r.stats["ray_steps"] > 0) is rays
 
@@ -454,7 +492,7 @@ def test_constrained_beats_random_feasible_points(seed):
     # zero weights leave flat directions, which only the boxes stop
     quadratic = {f"x{i}": float(rng.randint(0, 3)) for i in range(n)}
     model = qp(variables, rows, objective, quadratic)
-    r = solve_qp(model)
+    r = either(model)
     if r.status == "infeasible":
         probe = OptimizationModel("p", variables, rows, {}, {})
         assert solve_lp(probe).status == "infeasible"

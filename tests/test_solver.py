@@ -14,7 +14,7 @@ from storywiggle.generate import generate_instance
 from storywiggle.lpsolve import main as lpsolve_main
 from storywiggle.programs import (GE, LE, LinearConstraint, ModelError,
                                   OptimizationModel, Variable,
-                                  build_lwh_program)
+                                  build_lwh_program, compile_model)
 from storywiggle.solver import (SolveResult, SolveStatus, SolverConfig,
                                 default_backend, solve_model, write_solution)
 
@@ -149,6 +149,13 @@ class TestExternalBackend:
         ext = solve_model(lp_model(), SolverConfig(backend=EXTERNAL, time_limit=limit))
         assert ext.status is SolveStatus.OPTIMAL
 
+    def test_non_finite_model_is_refused_before_writing(self):
+        model = OptimizationModel(
+            "inf", [Variable("x", 0.0, 1.0)],
+            [LinearConstraint("r", (("x", math.inf),), GE, 1.0)], {"x": 1.0})
+        with pytest.raises(ModelError, match="non-finite coefficient"):
+            solve_model(model, SolverConfig(backend=EXTERNAL))
+
     def test_failing_command_raises(self):
         bad = f"external:{sys.executable} -c 'import sys; sys.exit(3)'"
         with pytest.raises(ModelError, match="external solver failed"):
@@ -173,7 +180,31 @@ class TestSolutionFiles:
             _parse_solution("objective 3.0\nx 1\n")
 
 
+# LP files with 1e400, which reads as inf, in one place each
+NON_FINITE = {
+    "cost": "obj: 1e400 x\nSubject To\n r: x >= 1",
+    "coefficient": "obj: x\nSubject To\n r: 1e400 x >= 1",
+    "rhs": "obj: x\nSubject To\n r: x >= 1e400",
+    "quadratic": "obj: x + [ 1e400 x ^ 2 ] / 2\nSubject To\n r: x >= 1",
+    "bounds": "obj: x\nSubject To\n r: x >= 1\nBounds\n 1e400 <= x <= 1e401",
+}
+
+
 class TestLpsolveCli:
+    @pytest.mark.parametrize("text", [*NON_FINITE.values(), None],
+                             ids=[*NON_FINITE, "nan-bound"])
+    def test_non_finite_numbers_exit_two(self, text, tmp_path, capsys):
+        if text is None:
+            # no LP file carries a NaN, but a model can
+            with pytest.raises(ModelError, match="NaN"):
+                compile_model(OptimizationModel("nan", [Variable("x", math.nan)]))
+            return
+        lp = tmp_path / "m.lp"
+        lp.write_text(f"Minimize\n{text}\nEnd\n")
+        assert lpsolve_main([str(lp), str(tmp_path / "m.sol")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("lpsolve: ")
+
     def test_usage_error(self, capsys):
         assert lpsolve_main(["only_one.lp"]) == 2
         assert "usage" in capsys.readouterr().err
